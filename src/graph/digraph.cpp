@@ -1,6 +1,5 @@
 #include "graph/digraph.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <queue>
@@ -23,78 +22,11 @@ int Digraph::add_edge(int from, int to, std::int64_t weight) {
   return e;
 }
 
-namespace {
-
-// Iterative Tarjan to avoid stack overflow on long chains.
-struct TarjanState {
-  const Digraph& g;
-  std::vector<int> index, lowlink, component;
-  std::vector<bool> on_stack;
-  std::vector<int> stack;
-  int next_index = 0;
-  int component_count = 0;
-
-  explicit TarjanState(const Digraph& g_in)
-      : g(g_in),
-        index(g_in.node_count(), -1),
-        lowlink(g_in.node_count(), 0),
-        component(g_in.node_count(), -1),
-        on_stack(g_in.node_count(), false) {}
-
-  void run(int root) {
-    struct Frame {
-      int node;
-      std::size_t edge_pos;
-    };
-    std::vector<Frame> frames;
-    frames.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      int v = f.node;
-      const auto& out = g.out_edges(v);
-      if (f.edge_pos < out.size()) {
-        int w = g.edge(out[f.edge_pos++]).to;
-        if (index[w] < 0) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      } else {
-        if (lowlink[v] == index[v]) {
-          while (true) {
-            int w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            component[w] = component_count;
-            if (w == v) break;
-          }
-          ++component_count;
-        }
-        frames.pop_back();
-        if (!frames.empty()) {
-          int parent = frames.back().node;
-          lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-        }
-      }
-    }
-  }
-};
-
-}  // namespace
-
 SccResult strongly_connected_components(const Digraph& g) {
-  TarjanState state(g);
-  for (int v = 0; v < g.node_count(); ++v) {
-    if (state.index[v] < 0) state.run(v);
-  }
-  return SccResult{std::move(state.component), state.component_count};
+  return strongly_connected_components(
+      g.node_count(),
+      [&](int v) { return g.out_edges(v).size(); },
+      [&](int v, std::size_t i) { return g.edge(g.out_edges(v)[i]).to; });
 }
 
 bool is_strongly_connected(const Digraph& g) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -54,6 +56,66 @@ struct SccResult {
 };
 
 [[nodiscard]] SccResult strongly_connected_components(const Digraph& g);
+
+/// Tarjan's algorithm over any adjacency, so a caller with its own edge
+/// storage (the reachability graph) need not copy it into a `Digraph`.
+/// `out_degree(v)` is the number of out-edges of node `v` and
+/// `successor(v, i)` the head of its i-th one. Iterative, so long chains
+/// cannot overflow the call stack; the scratch is three ints per node plus
+/// the DFS stacks.
+template <class OutDegree, class Successor>
+[[nodiscard]] SccResult strongly_connected_components(int node_count,
+                                                      OutDegree out_degree,
+                                                      Successor successor) {
+  // index[v] < 0: unvisited. A visited node is on the Tarjan stack until
+  // its component is assigned.
+  SccResult result{std::vector<int>(node_count, -1), 0};
+  std::vector<int>& component = result.component;
+  std::vector<int> index(node_count, -1), lowlink(node_count, 0);
+  std::vector<int> stack;
+  struct Frame {
+    int node;
+    std::uint32_t edge_pos;
+  };
+  std::vector<Frame> frames;
+  int next_index = 0;
+  for (int root = 0; root < node_count; ++root) {
+    if (index[root] >= 0) continue;
+    frames.push_back({root, 0});
+    index[root] = lowlink[root] = next_index++;
+    stack.push_back(root);
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      const int v = f.node;
+      if (f.edge_pos < static_cast<std::size_t>(out_degree(v))) {
+        const int w = successor(v, f.edge_pos++);
+        if (index[w] < 0) {
+          index[w] = lowlink[w] = next_index++;
+          stack.push_back(w);
+          frames.push_back({w, 0});
+        } else if (component[w] < 0) {
+          lowlink[v] = std::min(lowlink[v], index[w]);
+        }
+        continue;
+      }
+      if (lowlink[v] == index[v]) {
+        int w = -1;
+        while (w != v) {
+          w = stack.back();
+          stack.pop_back();
+          component[w] = result.component_count;
+        }
+        ++result.component_count;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        const int parent = frames.back().node;
+        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
+      }
+    }
+  }
+  return result;
+}
 
 /// True iff the graph has one SCC containing every node (and at least one
 /// node).

@@ -4,6 +4,7 @@
 #include <deque>
 #include <unordered_set>
 
+#include "graph/digraph.h"
 #include "util/error.h"
 
 namespace cipnet {
@@ -63,6 +64,9 @@ Boundedness check_boundedness(const PetriNet& net, std::size_t max_states) {
 }
 
 bool is_safe(const ReachabilityGraph& rg) {
+  // A packed graph is 1-safe by construction: a second-token clash makes
+  // the explorer fall back to dense.
+  if (rg.engine() == ReachEngine::kPacked) return true;
   for (StateId s : rg.all_states()) {
     if (!rg.marking(s).is_safe()) return false;
   }
@@ -70,6 +74,9 @@ bool is_safe(const ReachabilityGraph& rg) {
 }
 
 Token max_tokens_in_any_place(const ReachabilityGraph& rg) {
+  // Packed markings are 1-safe and pairwise distinct, so only a one-state
+  // packed graph can lack a token everywhere.
+  if (rg.engine() == ReachEngine::kPacked && rg.state_count() > 1) return 1;
   Token best = 0;
   for (StateId s : rg.all_states()) {
     for (Token t : rg.marking(s)) best = std::max(best, t);
@@ -98,50 +105,71 @@ std::vector<TransitionId> dead_transitions(const PetriNet& net,
   return out;
 }
 
-std::vector<StateId> states_enabling(const PetriNet& net,
-                                     const ReachabilityGraph& rg,
-                                     TransitionId t) {
-  std::vector<StateId> out;
-  for (StateId s : rg.all_states()) {
-    if (net.is_enabled(rg.marking(s), t)) out.push_back(s);
-  }
-  return out;
-}
-
 std::vector<TransitionId> non_live_transitions(const PetriNet& net,
                                                const ReachabilityGraph& rg) {
-  // Reverse adjacency once.
-  std::vector<std::vector<StateId>> pred(rg.state_count());
-  for (StateId s : rg.all_states()) {
-    for (const auto& e : rg.successors(s)) pred[e.to.index()].push_back(s);
+  // Every state of a finite graph reaches some bottom SCC (one no edge
+  // leaves), and a bottom SCC reaches nothing outside itself. So t is
+  // L4-live iff every bottom SCC holds a state enabling t: one condensation,
+  // O(|S| + |E| + |T|).
+  const int n = static_cast<int>(rg.state_count());
+  auto out = [&](int v) -> const std::vector<ReachabilityGraph::Edge>& {
+    return rg.successors(StateId(static_cast<std::uint32_t>(v)));
+  };
+  const SccResult scc = strongly_connected_components(
+      n, [&](int v) { return out(v).size(); },
+      [&](int v, std::size_t i) {
+        return static_cast<int>(out(v)[i].to.index());
+      });
+  const std::vector<int>& comp = scc.component;
+
+  std::vector<bool> bottom(scc.component_count, true);
+  for (int v = 0; v < n; ++v) {
+    for (const auto& e : out(v)) {
+      if (comp[e.to.index()] != comp[v]) bottom[comp[v]] = false;
+    }
   }
 
-  std::vector<TransitionId> out;
-  for (TransitionId t : net.all_transitions()) {
-    // Backward closure of the states where t is enabled; t is live iff the
-    // closure covers every reachable state.
-    std::vector<bool> can_reach(rg.state_count(), false);
-    std::deque<StateId> frontier;
-    for (StateId s : states_enabling(net, rg, t)) {
-      can_reach[s.index()] = true;
-      frontier.push_back(s);
-    }
-    while (!frontier.empty()) {
-      StateId s = frontier.front();
-      frontier.pop_front();
-      for (StateId p : pred[s.index()]) {
-        if (!can_reach[p.index()]) {
-          can_reach[p.index()] = true;
-          frontier.push_back(p);
+  // Thread the states of each bottom SCC into a list, so each SCC's
+  // enabled set is gathered in one run.
+  std::vector<int> head(scc.component_count, -1), next(n, -1);
+  for (int v = n - 1; v >= 0; --v) {
+    if (!bottom[comp[v]]) continue;
+    next[v] = head[comp[v]];
+    head[comp[v]] = v;
+  }
+
+  // covered[t]: bottom SCCs holding a state that enables t; stamp[t]: the
+  // last SCC counted. A fully expanded state enables exactly the labels of
+  // its out-edges. A state with none, or any state of a truncated graph
+  // (whose last expansion may be partial), asks the net.
+  const std::size_t transitions = net.transition_count();
+  std::vector<int> covered(transitions, 0), stamp(transitions, -1);
+  auto cover = [&](int c, TransitionId t) {
+    if (stamp[t.index()] == c) return;
+    stamp[t.index()] = c;
+    ++covered[t.index()];
+  };
+  int bottoms = 0;
+  for (int c = 0; c < scc.component_count; ++c) {
+    if (!bottom[c]) continue;
+    ++bottoms;
+    for (int v = head[c]; v >= 0; v = next[v]) {
+      if (!rg.truncated() && !out(v).empty()) {
+        for (const auto& e : out(v)) cover(c, e.transition);
+      } else {
+        const StateId s(static_cast<std::uint32_t>(v));
+        for (TransitionId t : net.enabled_transitions(rg.marking(s))) {
+          cover(c, t);
         }
       }
     }
-    if (std::find(can_reach.begin(), can_reach.end(), false) !=
-        can_reach.end()) {
-      out.push_back(t);
-    }
   }
-  return out;
+
+  std::vector<TransitionId> not_live;
+  for (TransitionId t : net.all_transitions()) {
+    if (covered[t.index()] < bottoms) not_live.push_back(t);
+  }
+  return not_live;
 }
 
 bool is_live(const PetriNet& net, const ReachabilityGraph& rg) {

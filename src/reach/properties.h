@@ -20,7 +20,8 @@ enum class Boundedness { kBounded, kUnbounded };
                                             std::size_t max_states = 1u << 20);
 
 /// Every reachable marking puts at most one token in each place
-/// (Section 2.1: "Safe nets").
+/// (Section 2.1: "Safe nets"). O(1) on a packed graph, which is 1-safe by
+/// construction.
 [[nodiscard]] bool is_safe(const ReachabilityGraph& rg);
 
 /// Largest token count any place reaches.
@@ -35,18 +36,16 @@ enum class Boundedness { kBounded, kUnbounded };
     const PetriNet& net, const ReachabilityGraph& rg);
 
 /// Liveness in the strong (L4) sense: from every reachable marking, every
-/// transition can eventually fire again. Computed per transition by a
-/// backward closure over the reachability graph.
+/// transition can eventually fire again. Computed from one bottom-SCC
+/// condensation of the reachability graph: t is live iff every bottom SCC
+/// holds a state enabling t. Linear in the graph, O(|S| + |E| + |T|).
+/// Enabledness is the marking's (`PetriNet::enabled_transitions`), so on a
+/// truncated graph the verdict is about the explored prefix.
 [[nodiscard]] bool is_live(const PetriNet& net, const ReachabilityGraph& rg);
 
-/// The transitions that are *not* L4-live.
+/// The transitions that are *not* L4-live, ascending.
 [[nodiscard]] std::vector<TransitionId> non_live_transitions(
     const PetriNet& net, const ReachabilityGraph& rg);
-
-/// States enabling a given transition.
-[[nodiscard]] std::vector<StateId> states_enabling(const PetriNet& net,
-                                                   const ReachabilityGraph& rg,
-                                                   TransitionId t);
 
 /// A firing sequence (transition ids) from the initial state to `target`,
 /// or nullopt if unreachable (it never is for states in the graph).

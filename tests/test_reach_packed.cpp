@@ -335,14 +335,27 @@ TEST(ReachPacked, ContainsPacksTheQueryMarking) {
 }
 
 TEST(ReachPacked, PropertiesAgreeAcrossEngines) {
-  PetriNet net = independent_cycles(4);
-  auto dense = explore(net, with_engine(ReachEngine::kDense));
-  auto packed = explore(net, with_engine(ReachEngine::kPacked));
-  ASSERT_EQ(packed.engine(), ReachEngine::kPacked);
-  EXPECT_EQ(is_safe(dense), is_safe(packed));
-  EXPECT_EQ(deadlock_states(dense), deadlock_states(packed));
-  EXPECT_EQ(is_live(net, dense), is_live(net, packed));
-  EXPECT_EQ(max_tokens_in_any_place(dense), max_tokens_in_any_place(packed));
+  // is_safe and max_tokens_in_any_place answer packed graphs without
+  // unpacking a row; the one-state nets pin the empty-marking corner.
+  PetriNet empty;
+  empty.add_place("p", 0);
+  PetriNet one_state_marked;
+  PlaceId p = one_state_marked.add_place("p", 1);
+  one_state_marked.add_transition({p}, "a", {p});
+  const PetriNet nets[] = {independent_cycles(4), chain_net({"a", "b"}, false),
+                           empty, one_state_marked};
+  for (const PetriNet& net : nets) {
+    auto dense = explore(net, with_engine(ReachEngine::kDense));
+    auto packed = explore(net, with_engine(ReachEngine::kPacked));
+    ASSERT_EQ(packed.engine(), ReachEngine::kPacked);
+    EXPECT_EQ(is_safe(dense), is_safe(packed));
+    EXPECT_EQ(deadlock_states(dense), deadlock_states(packed));
+    EXPECT_EQ(is_live(net, dense), is_live(net, packed));
+    EXPECT_EQ(non_live_transitions(net, dense),
+              non_live_transitions(net, packed));
+    EXPECT_EQ(max_tokens_in_any_place(dense), max_tokens_in_any_place(packed))
+        << net.summary();
+  }
 }
 
 #if CIPNET_FAULT_ENABLED

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 
 #include "obs/metrics.h"
 
@@ -31,30 +32,33 @@ Connection::~Connection() {
 
 void Connection::ingest(const char* data, std::size_t n,
                         std::size_t max_line_bytes, std::vector<Frame>& out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const char ch = data[i];
-    if (ch == '\n') {
-      if (discarding_) {
-        discarding_ = false;
-        c_oversized.add();
-        out.push_back(Frame{std::string(), /*oversized=*/true});
-      } else if (!rbuf_.empty()) {
-        c_frames_in.add();
-        h_frame_bytes.record(rbuf_.size());
-        out.push_back(Frame{std::move(rbuf_), /*oversized=*/false});
+  const char* const end = data + n;
+  while (data < end) {
+    const auto* newline = static_cast<const char*>(
+        std::memchr(data, '\n', static_cast<std::size_t>(end - data)));
+    const char* const stop = newline != nullptr ? newline : end;
+    const auto span = static_cast<std::size_t>(stop - data);
+    if (!discarding_) {
+      if (rbuf_.size() + span <= max_line_bytes) {
+        rbuf_.append(data, span);
+      } else {
+        // Over the bound: drop what we buffered and everything until the
+        // newline — the stream stays line-synced without holding the bytes.
         rbuf_.clear();
+        discarding_ = true;
       }
-      // Empty lines vanish, matching the stdio serve loop.
-      continue;
     }
-    if (discarding_) continue;
-    if (rbuf_.size() < max_line_bytes) {
-      rbuf_.push_back(ch);
-    } else {
-      // Over the bound: drop what we buffered and everything until the
-      // newline — the stream stays line-synced without holding the bytes.
+    if (newline == nullptr) return;
+    data = newline + 1;
+    if (discarding_) {
+      discarding_ = false;
+      c_oversized.add();
+      out.push_back(Frame{std::string(), /*oversized=*/true});
+    } else if (!rbuf_.empty()) {  // empty lines vanish, as in stdio serve
+      c_frames_in.add();
+      h_frame_bytes.record(rbuf_.size());
+      out.push_back(Frame{std::move(rbuf_), /*oversized=*/false});
       rbuf_.clear();
-      discarding_ = true;
     }
   }
 }

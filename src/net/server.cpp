@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -227,6 +228,11 @@ void Server::accept_ready() {
       ::close(fd);
       continue;
     }
+    // Responses are small lines written as jobs finish. With Nagle on, one
+    // sent while an earlier one is unacknowledged waits for the client's
+    // delayed ACK, which dominated request latency.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(fd, id, peer_name(addr), &bytes_);
     if (!loop_.add(fd, conn.get())) {
@@ -369,18 +375,17 @@ bool Server::is_doomed(std::uint64_t conn_id) const {
 
 void Server::reap_doomed() {
   for (const std::uint64_t id : doomed_) {
-    close_connection(id, /*orderly=*/false);
+    close_connection(id);
   }
   doomed_.clear();
 }
 
-void Server::close_connection(std::uint64_t conn_id, bool orderly) {
+void Server::close_connection(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   loop_.remove(it->second->fd());
   conns_.erase(it);
   c_closed.add();
-  (void)orderly;  // both paths count as closed; errors were counted at site
   closed_.fetch_add(1, std::memory_order_relaxed);
   active_.store(conns_.size(), std::memory_order_relaxed);
   g_active.set(conns_.size());
@@ -424,7 +429,7 @@ void Server::reap(std::chrono::steady_clock::time_point now) {
     }
   }
   for (const std::uint64_t id : done) {
-    close_connection(id, /*orderly=*/true);
+    close_connection(id);
   }
 }
 

@@ -113,7 +113,7 @@ class Server {
   void drain_completions();
   void after_output_queued(Connection* conn);
   void update_interest(Connection* conn);
-  void close_connection(std::uint64_t conn_id, bool orderly);
+  void close_connection(std::uint64_t conn_id);
   void doom(std::uint64_t conn_id);
   [[nodiscard]] bool is_doomed(std::uint64_t conn_id) const;
   void reap_doomed();

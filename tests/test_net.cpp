@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,9 +15,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "io/net_format.h"
@@ -228,6 +231,121 @@ TEST(Net, IngestDiscardsOversizedFrameAndStaysLineSynced) {
   EXPECT_TRUE(frames[0].line.empty());
   EXPECT_FALSE(frames[1].oversized);
   EXPECT_EQ(frames[1].line, "short");
+}
+
+/// What one connection makes of `chunks` fed as consecutive reads: the
+/// frames as (line, oversized) pairs, and the frame counters and
+/// frame-size recordings they leave in the registry.
+using Ingested = std::pair<std::vector<std::pair<std::string, bool>>,
+                           std::vector<std::uint64_t>>;
+
+Ingested ingest_reads(const std::vector<std::string>& chunks,
+                      std::size_t max_line_bytes) {
+  obs::ScopedEnable metrics_on;
+  net::Connection conn(-1, 1, "test");
+  std::vector<net::Frame> frames;
+  for (const std::string& chunk : chunks) {
+    conn.ingest(chunk.data(), chunk.size(), max_line_bytes, frames);
+  }
+  Ingested result;
+  for (net::Frame& frame : frames) {
+    result.first.emplace_back(std::move(frame.line), frame.oversized);
+  }
+  const obs::Snapshot snapshot = obs::Registry::instance().snapshot();
+  const obs::HistogramSnapshot* sizes = snapshot.histogram("net.frame.bytes");
+  result.second = {snapshot.counter("net.frames.in"),
+                   snapshot.counter("net.frames.oversized"),
+                   sizes == nullptr ? 0 : sizes->count,
+                   sizes == nullptr ? 0 : sizes->sum};
+  return result;
+}
+
+TEST(Net, IngestYieldsTheSameFramesWhateverTheReadBoundaries) {
+  constexpr std::size_t kMax = 8;
+  // Frames at, and one byte over, the bound; empty lines; an unterminated
+  // tail that must never surface.
+  const std::string stream =
+      "alpha\n\nbeta\n" + std::string(20, 'x') +
+      "\n12345678\n123456789\n\n\ngamma\ntail";
+  const Ingested whole = ingest_reads({stream}, kMax);
+  ASSERT_EQ(whole.first, (std::vector<std::pair<std::string, bool>>{
+                             {"alpha", false},
+                             {"beta", false},
+                             {"", true},
+                             {"12345678", false},
+                             {"", true},
+                             {"gamma", false}}));
+  EXPECT_EQ(whole.second, (std::vector<std::uint64_t>{4, 2, 4, 5 + 4 + 8 + 5}));
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    EXPECT_EQ(ingest_reads({stream.substr(0, cut), stream.substr(cut)}, kMax),
+              whole)
+        << "cut at " << cut;
+  }
+
+  // An oversized line split across three reads, at every pair of cuts:
+  // its buffered prefix is dropped and the next frame still parses.
+  const std::string oversized = "ok\n" + std::string(30, 'y') + "\nafter\n";
+  const Ingested whole_oversized = ingest_reads({oversized}, kMax);
+  ASSERT_EQ(whole_oversized.first,
+            (std::vector<std::pair<std::string, bool>>{
+                {"ok", false}, {"", true}, {"after", false}}));
+  for (std::size_t first = 3; first <= 33; ++first) {
+    for (std::size_t second = first; second <= 33; ++second) {
+      EXPECT_EQ(ingest_reads({oversized.substr(0, first),
+                              oversized.substr(first, second - first),
+                              oversized.substr(second)},
+                             kMax),
+                whole_oversized)
+          << "cuts at " << first << ", " << second;
+    }
+  }
+}
+
+/// This process's accepted TCP sockets on `port`: bound locally to it and
+/// not listening (a client socket's local port is its own ephemeral one).
+std::vector<int> accepted_sockets_on(std::uint16_t port) {
+  std::vector<int> fds;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd", ec)) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != port) {
+      continue;
+    }
+    int listening = 1;
+    socklen_t optlen = sizeof(listening);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &optlen) ==
+            0 &&
+        listening == 0) {
+      fds.push_back(fd);
+    }
+  }
+  return fds;
+}
+
+TEST(Net, AcceptedConnectionsDisableNagle) {
+  TestServer server;
+  ASSERT_TRUE(server.started());
+
+  Client first(server.port());
+  Client second(server.port());
+  ASSERT_TRUE(first.connected());
+  ASSERT_TRUE(second.connected());
+  // An answered ping proves the server has accepted that connection.
+  ASSERT_TRUE(response_ok(first.exchange(request(1, "ping"))));
+  ASSERT_TRUE(response_ok(second.exchange(request(2, "ping"))));
+
+  const std::vector<int> accepted = accepted_sockets_on(server.port());
+  ASSERT_EQ(accepted.size(), 2u);
+  for (const int fd : accepted) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1) << "accepted fd " << fd;
+  }
 }
 
 TEST(Net, ServesManyConcurrentClientsWithMixedOps) {

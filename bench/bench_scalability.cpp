@@ -63,31 +63,27 @@ void report() {
       "and its construction grow exponentially — the shape behind the\n"
       "paper's net-level argument.\n");
 
-  // Explore-core focus: the arena/interner hot loop, single- vs
-  // multi-threaded and dense vs packed, on the largest cycle family
-  // (2^16 states). states/sec is the number the flat store + single-probe
-  // intern are optimizing; the packed rows run the same BFS over
-  // one-bit-per-place markings (the family is 1-safe, so auto would pick
-  // packed too — both engines are pinned here to keep the rows comparable).
+  // Explore-core focus: the arena/interner hot loop, dense vs packed, on
+  // the largest cycle family (2^16 states). states/sec is the number the
+  // flat store + single-probe intern are optimizing; the packed row runs
+  // the same BFS over one-bit-per-place markings (the family is 1-safe, so
+  // auto would pick packed too — both engines are pinned here to keep the
+  // rows comparable). The row names keep their baseline history.
   std::printf("\nexplore core on independent_cycles/16 (2^16 states)\n");
-  std::printf("%-8s %-10s %-10s %-12s %-14s\n", "engine", "threads", "states",
-              "wall (s)", "states/sec");
+  std::printf("%-8s %-10s %-12s %-14s\n", "engine", "states", "wall (s)",
+              "states/sec");
   PetriNet big = independent_cycles(16);
   for (ReachEngine engine : {ReachEngine::kDense, ReachEngine::kPacked}) {
-    for (std::size_t threads : {1u, 2u, 4u}) {
-      ReachOptions options;
-      options.threads = threads;
-      options.engine = engine;
-      std::size_t states = 0;
-      double t =
-          seconds([&] { states = explore(big, options).state_count(); });
-      std::printf("%-8s %-10zu %-10zu %-12.6f %-14.0f\n", to_string(engine),
-                  threads, states, t, t > 0 ? states / t : 0.0);
-      const std::string row = engine == ReachEngine::kPacked
-                                  ? "explore_packed" + std::to_string(threads)
-                                  : "explore_mt" + std::to_string(threads);
-      benchutil::machine_row(row + "/16", states, t);
-    }
+    ReachOptions options;
+    options.engine = engine;
+    std::size_t states = 0;
+    double t = seconds([&] { states = explore(big, options).state_count(); });
+    std::printf("%-8s %-10zu %-12.6f %-14.0f\n", to_string(engine), states, t,
+                t > 0 ? states / t : 0.0);
+    benchutil::machine_row(engine == ReachEngine::kPacked
+                               ? "explore_packed1/16"
+                               : "explore_mt1/16",
+                           states, t);
   }
 
   // The reachability side is split by layer: building the graph, then the
@@ -139,16 +135,6 @@ void BM_StateSpaceConstruction(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_StateSpaceConstruction)->DenseRange(2, 16, 2)->Complexity();
-
-void BM_StateSpaceConstructionMT(benchmark::State& state) {
-  PetriNet net = independent_cycles(16);
-  ReachOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(explore(net, options).state_count());
-  }
-}
-BENCHMARK(BM_StateSpaceConstructionMT)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_StructuralLiveness(benchmark::State& state) {
   PetriNet ring = cycle_chain(static_cast<std::size_t>(state.range(0)), "r");

@@ -114,15 +114,6 @@ void PostMortemBuilder::ingest_jsonl(const std::string& text) {
       point.items_per_sec = doc.get_number("items_per_sec", 0);
       point.rss_bytes = u64(doc, "peak_rss_bytes");
       pm_.progress.push_back(std::move(point));
-      if (const json::Value* shards = doc.find("shards");
-          shards != nullptr && shards->is_array() &&
-          !shards->items().empty()) {
-        pm_.shard_items.clear();
-        for (const json::Value& item : shards->items()) {
-          pm_.shard_items.push_back(
-              static_cast<std::uint64_t>(item.as_number()));
-        }
-      }
     } else if (event == "sample") {
       pm_.saw_samples = true;
       PostMortem::SamplePoint point;
@@ -222,30 +213,6 @@ PostMortem PostMortemBuilder::finish(std::size_t top_limit) {
 }
 
 namespace {
-
-/// Shared shard statistics: max, mean, and max/mean imbalance.
-struct ShardStats {
-  std::uint64_t max = 0;
-  double mean = 0.0;
-  double imbalance = 0.0;
-  std::size_t nonzero = 0;
-};
-
-ShardStats shard_stats(const std::vector<std::uint64_t>& shards) {
-  ShardStats stats;
-  if (shards.empty()) return stats;
-  std::uint64_t total = 0;
-  for (std::uint64_t items : shards) {
-    stats.max = std::max(stats.max, items);
-    total += items;
-    if (items != 0) ++stats.nonzero;
-  }
-  stats.mean = static_cast<double>(total) / static_cast<double>(shards.size());
-  if (stats.mean > 0.0) {
-    stats.imbalance = static_cast<double>(stats.max) / stats.mean;
-  }
-  return stats;
-}
 
 /// Down-sample a curve to at most `limit` evenly spaced points (first and
 /// last always kept) so huge sample streams stay readable.
@@ -400,19 +367,6 @@ void render_human(const PostMortem& pm, bool markdown, std::string& out) {
     out += buf;
   }
 
-  if (!pm.shard_items.empty()) {
-    section("Shard balance");
-    const ShardStats stats = shard_stats(pm.shard_items);
-    std::snprintf(buf, sizeof(buf),
-                  "%s%zu shards (%zu populated), max %llu, mean %.1f, "
-                  "imbalance %.2fx\n",
-                  markdown ? "" : "  ", pm.shard_items.size(), stats.nonzero,
-                  static_cast<unsigned long long>(stats.max), stats.mean,
-                  stats.imbalance);
-    out += buf;
-    out += '\n';
-  }
-
   if (pm.saw_flight) {
     section("Flight recorder");
     std::snprintf(buf, sizeof(buf),
@@ -537,22 +491,6 @@ std::string render_json(const PostMortem& pm) {
     w.end_object();
   }
   w.end_array();
-  w.key("shards");
-  if (pm.shard_items.empty()) {
-    w.null();
-  } else {
-    const ShardStats stats = shard_stats(pm.shard_items);
-    w.begin_object();
-    w.member("count", static_cast<std::uint64_t>(pm.shard_items.size()));
-    w.member("populated", static_cast<std::uint64_t>(stats.nonzero));
-    w.member("max", stats.max);
-    w.member("mean", stats.mean);
-    w.member("imbalance", stats.imbalance);
-    w.key("items").begin_array();
-    for (std::uint64_t items : pm.shard_items) w.value(items);
-    w.end_array();
-    w.end_object();
-  }
   w.key("flight").begin_object();
   w.member("recorded", pm.flight_recorded);
   w.member("discarded", pm.flight_discarded);

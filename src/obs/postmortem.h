@@ -15,9 +15,9 @@
 // `PostMortemBuilder` ingests any mix of these (format auto-detected per
 // file, unknown lines counted and skipped, never fatal) and distills one
 // `PostMortem`: phase breakdown, slowest spans, throughput and RSS curves,
-// shard-imbalance table, fault-site and flight-event summaries. The
-// renderers emit it as aligned text, markdown tables, or a JSON document
-// that round-trips through the strict parser.
+// fault-site and flight-event summaries. The renderers emit it as aligned
+// text, markdown tables, or a JSON document that round-trips through the
+// strict parser.
 
 #include <cstdint>
 #include <string>
@@ -69,8 +69,6 @@ struct PostMortem {
   std::vector<TopSpan> top_spans;    ///< sorted by dur_ns, descending
   std::vector<RatePoint> progress;   ///< chronological
   std::vector<SamplePoint> samples;  ///< chronological (by seq)
-  /// Last per-shard item payload seen in a progress heartbeat.
-  std::vector<std::uint64_t> shard_items;
   std::vector<FaultSite> fault_sites;  ///< from flight `fault_fired` events
   /// Flight events by kind name, sorted by count descending.
   std::vector<std::pair<std::string, std::uint64_t>> flight_kinds;

@@ -65,13 +65,16 @@ void ProgressReporter::update_throttled(std::uint64_t items,
   items_.store(items, std::memory_order_relaxed);
   frontier_.store(frontier, std::memory_order_relaxed);
   any_update_.store(true, std::memory_order_relaxed);
-  const std::uint64_t now = steady_now_ns();
   const std::uint64_t interval_ns =
       ProgressBus::instance().interval_ms() * 1'000'000;
   // CAS gate: among racing workers, exactly one advances the emit clock
-  // and publishes this interval's heartbeat; the rest return.
+  // and publishes this interval's heartbeat; the rest return. A racing
+  // worker may already have moved the clock past our `now`; the unsigned
+  // `now - last` would then wrap, pass the gate and move the clock
+  // backwards, so such a stale sample is rejected.
   std::uint64_t last = last_emit_ns_.load(std::memory_order_relaxed);
-  if (now - last < interval_ns) return;
+  const std::uint64_t now = steady_now_ns();
+  if (now < last || now - last < interval_ns) return;
   if (!last_emit_ns_.compare_exchange_strong(last, now,
                                              std::memory_order_relaxed)) {
     return;
@@ -99,7 +102,6 @@ void ProgressReporter::publish(bool final_event) {
         static_cast<double>(event.target - event.items) * 1000.0 /
         event.items_per_sec);
   }
-  if (shard_supplier_) event.shard_items = shard_supplier_();
   event.final_event = final_event;
   ProgressBus::instance().publish(event);
 }

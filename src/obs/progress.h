@@ -40,9 +40,6 @@ struct ProgressEvent {
   /// current rate.
   std::uint64_t target = 0;
   std::uint64_t eta_ms = 0;
-  /// Optional per-shard item counts (parallel exploration publishes the
-  /// per-shard interned-state counts). Empty for single-shard phases.
-  std::vector<std::uint64_t> shard_items;
   bool final_event = false;
 };
 
@@ -85,12 +82,11 @@ class ProgressBus {
 /// RAII heartbeat source for one phase. Construct around the loop, call
 /// `update` per step; throttling and the final close-out are handled here.
 ///
-/// Thread-safe: concurrent workers may call `update` on one reporter (the
-/// parallel explorer's workers heartbeat directly). The state words are
-/// relaxed atomics and the interval gate is a CAS on the last-emit time,
-/// so exactly one racing worker publishes per interval; construction,
-/// destruction, and the setters must still be single-threaded
-/// (before/after the worker pool).
+/// Thread-safe: concurrent workers may call `update` on one reporter. The
+/// state words are relaxed atomics and the interval gate is a CAS on the
+/// last-emit time, so exactly one racing worker publishes per interval;
+/// construction, destruction, and `set_target` must still be
+/// single-threaded (before/after the workers).
 class ProgressReporter {
  public:
   explicit ProgressReporter(std::string_view phase);
@@ -102,12 +98,6 @@ class ProgressReporter {
   /// Item budget for ETA extrapolation (0 = unbounded, no ETA).
   void set_target(std::uint64_t target) {
     target_.store(target, std::memory_order_relaxed);
-  }
-
-  /// Publish-time supplier of per-shard item counts. Called outside any
-  /// reporter lock, possibly from a worker thread — must be thread-safe.
-  void set_shard_supplier(std::function<std::vector<std::uint64_t>()> fn) {
-    shard_supplier_ = std::move(fn);
   }
 
   void update(std::uint64_t items, std::uint64_t frontier = 0) {
@@ -126,7 +116,6 @@ class ProgressReporter {
   std::atomic<std::uint64_t> frontier_{0};
   std::atomic<std::uint64_t> target_{0};
   std::atomic<bool> any_update_{false};
-  std::function<std::vector<std::uint64_t>()> shard_supplier_;
 };
 
 }  // namespace cipnet::obs

@@ -93,11 +93,6 @@ void JsonlSink::write_progress(const ProgressEvent& event) {
     w.member("target", event.target);
     w.member("eta_ms", event.eta_ms);
   }
-  if (!event.shard_items.empty()) {
-    w.key("shards").begin_array();
-    for (const std::uint64_t items : event.shard_items) w.value(items);
-    w.end_array();
-  }
   w.member("final", event.final_event);
   w.end_object();
   out_ << w.str() << '\n';

@@ -1,9 +1,8 @@
 #pragma once
 
-// Marking-domain policies for the reachability explorers. Both the
-// sequential BFS (reachability.cpp) and the sharded parallel explorer
-// (explore_parallel.cpp) are templates over a `Domain` that fixes how a
-// marking is represented and fired:
+// Marking-domain policies for the reachability explorer. The BFS in
+// reachability.cpp is a template over a `Domain` that fixes how a marking
+// is represented and fired:
 //
 //  * `DenseDomain`  — rows of `Token` (one per place), dynamics delegated
 //    to `PetriNet`; correct for every net.
@@ -11,11 +10,10 @@
 //    delegated to the precomputed `PackedNet` word masks; sound only for
 //    1-safe nets.
 //
-// Everything schedule- and order-relevant (BFS discovery order, ascending
-// enabled sets, the delta merge, intern order, parallel renumbering) lives
-// in the shared explorer skeletons, so the two domains produce
-// bit-identical graphs — packing changes the cost of a step, never its
-// outcome.
+// Everything order-relevant (BFS discovery order, ascending enabled sets,
+// the delta merge, intern order) lives in the shared explorer skeleton, so
+// the two domains produce bit-identical graphs — packing changes the cost
+// of a step, never its outcome.
 //
 // The packed domain polices its own soundness: `fire` detects a firing that
 // would put a second token on a place (impossible on a truly 1-safe net)

@@ -9,7 +9,7 @@
 //  * `BasicMarkingStore<Cell>` — one flat `std::vector<Cell>` arena. Row
 //    `i` lives at `[i*width, (i+1)*width)`, so a linear pass over all
 //    states is a linear pass over memory (the subsumption scan in
-//    coverability, the renumbering pass of the parallel explorer).
+//    coverability, the checkpoint snapshot of the explorer).
 //  * `BasicMarkingInterner<Cell>` — an open-addressing linear-probe table
 //    of `{hash, id}` slots over a store. One probe answers both "have we
 //    seen this row?" and "what is its id?", and inserts on a miss — the
@@ -22,8 +22,7 @@
 // 1-safe engine uses `Cell = std::uint64_t` rows of `ceil(places/64)`
 // words — one bit per place, which is where the 8-32x arena shrink and the
 // one-word hash/compare of docs/PERFORMANCE.md come from. Neither class is
-// thread-safe; the parallel explorer shards them and guards each shard
-// with its own mutex.
+// thread-safe.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,10 +45,8 @@ void grow_fault_check();
 
 /// Stable, schedule-independent 64-bit hash of one row: FNV-1a over the
 /// cells (tokens or packed words alike), widened per element, then an xmx
-/// avalanche so both the low bits (table index) and the high bits (shard
-/// selector of the parallel explorer) are well mixed. All interner shards
-/// must agree on it (the shard of a row is a function of this hash), so it
-/// is a fixed algorithm, not `std::hash`.
+/// avalanche so the low bits (table index) are well mixed. A fixed
+/// algorithm, not `std::hash`, so probe sequences are reproducible.
 template <class Cell>
 [[nodiscard]] std::uint64_t row_hash_cells(const Cell* row,
                                            std::size_t width) {
@@ -144,15 +141,7 @@ class BasicMarkingInterner {
   /// own LimitError).
   Result intern(const Cell* row, BasicMarkingStore<Cell>& store,
                 std::size_t limit = kNoId) {
-    return intern_hashed(row_hash_cells(row, store.width()), row, store,
-                         limit);
-  }
-
-  /// Same, with the hash precomputed (the parallel explorer hashes once to
-  /// pick the shard and reuses the value here).
-  Result intern_hashed(std::uint64_t hash, const Cell* row,
-                       BasicMarkingStore<Cell>& store,
-                       std::size_t limit = kNoId) {
+    const std::uint64_t hash = row_hash_cells(row, store.width());
     if (slots_.empty() || over_loaded(count_, slots_.size())) {
       grow(next_pow2((count_ + 1) * 8 / 7 + 1));
     }
@@ -194,8 +183,7 @@ class BasicMarkingInterner {
   }
 
   /// Re-index every row already in `store` (table is cleared first). The
-  /// parallel explorer uses this after its renumbering pass so the final
-  /// graph supports `contains()` queries.
+  /// explorer uses this to seed a resumed run from checkpointed rows.
   void rebuild(const BasicMarkingStore<Cell>& store) {
     slots_.clear();
     count_ = store.size();

@@ -345,12 +345,6 @@ ReachabilityGraph explore(const PetriNet& net, const ReachOptions& options) {
       use_packed = is_structurally_safe(net);
       break;
   }
-  // Durable runs stay on the canonical sequential BFS: the checkpoint
-  // format snapshots its loop-head invariant, and the bit-identity
-  // contract already guarantees the parallel explorer would produce the
-  // same graph.
-  const bool durable =
-      !options.checkpoint_path.empty() || !options.resume_path.empty();
   reach_detail::CheckpointImage resume_image;
   const reach_detail::CheckpointImage* resume = nullptr;
   if (!options.resume_path.empty()) {
@@ -397,9 +391,6 @@ ReachabilityGraph explore(const PetriNet& net, const ReachOptions& options) {
     c_packed_selected.add();
     g_packed_words.set(packed::word_count(net.place_count()));
     try {
-      if (options.threads > 1 && !durable) {
-        return reach_detail::explore_parallel(net, options, true);
-      }
       const reach_detail::PackedDomain dom(net);
       return explore_seq(dom, net, options, resume);
     } catch (const reach_detail::PackedUnsafe&) {
@@ -407,9 +398,6 @@ ReachabilityGraph explore(const PetriNet& net, const ReachOptions& options) {
       // reach.packed.fallback fault fired: rerun on the dense engine.
       c_packed_fallbacks.add();
     }
-  }
-  if (options.threads > 1 && !durable) {
-    return reach_detail::explore_parallel(net, options, false);
   }
   const reach_detail::DenseDomain dom(net);
   // A checkpoint validated for the packed engine cannot seed the dense

@@ -38,19 +38,12 @@ enum class ReachEngine { kAuto, kDense, kPacked };
 /// spaces, so every exploration is bounded and overflow raises `LimitError`.
 struct ReachOptions {
   std::size_t max_states = 1u << 20;
-  /// Worker threads for the explorer. 1 (the default) is the sequential
-  /// BFS; >1 runs the sharded parallel explorer, whose result is
-  /// bit-identical to the sequential graph (states are renumbered into
-  /// canonical BFS order after exploration, so state ids are reproducible
-  /// regardless of schedule).
-  std::size_t threads = 1;
   /// Polled once per expanded state; a tripped token raises `Cancelled`.
   CancelToken cancel;
   /// Graceful degradation: when the state limit or memory budget trips,
   /// stop exploring and return the partial graph with `truncated()` set
   /// instead of throwing `LimitError`. The partial graph is always
-  /// internally consistent (every edge targets a stored state); with
-  /// `threads > 1` its exact content is schedule-dependent. Requires
+  /// internally consistent (every edge targets a stored state). Requires
   /// `max_states >= 1` — a zero budget still throws.
   bool truncate_on_limit = false;
   /// Approximate cap on the graph + index heap footprint in bytes
@@ -58,16 +51,14 @@ struct ReachOptions {
   /// `reach.graph_bytes` / `reach.index_bytes` gauges. Honors
   /// `truncate_on_limit`.
   std::size_t max_graph_bytes = 0;
-  /// Marking representation (see `ReachEngine`). Orthogonal to `threads`.
+  /// Marking representation (see `ReachEngine`).
   ReachEngine engine = ReachEngine::kAuto;
   /// Durability (reach/checkpoint.h). With a non-empty `checkpoint_path`
   /// and `checkpoint_every_states > 0`, the explorer atomically replaces
   /// the checkpoint file every time that many further states have been
   /// discovered. A failed write is counted (`store.persist.errors`) and
   /// exploration continues — a lost checkpoint loses durability, never
-  /// progress. Durable runs (checkpointing or resuming) always use the
-  /// canonical sequential BFS regardless of `threads`; the bit-identity
-  /// contract makes the result equal to any parallel run anyway.
+  /// progress.
   std::string checkpoint_path;
   std::size_t checkpoint_every_states = 0;
   /// Continue from a checkpoint written by an earlier run. A missing file
@@ -161,17 +152,16 @@ class ReachabilityGraph {
 };
 
 /// Breadth-first construction of RG(N). Throws `LimitError` if more than
-/// `options.max_states` markings are reachable. With `options.threads > 1`
-/// the construction is parallel but the returned graph is identical to the
-/// sequential one; the same holds for `options.engine` (see `ReachEngine`).
+/// `options.max_states` markings are reachable. The returned graph does not
+/// depend on `options.engine` (see `ReachEngine`).
 [[nodiscard]] ReachabilityGraph explore(const PetriNet& net,
                                         const ReachOptions& options = {});
 
 namespace reach_detail {
 
-/// Private-member access for the explorers (reachability.cpp and
-/// explore_parallel.cpp) — one named back door instead of a friend list
-/// that grows with every explorer variant.
+/// Private-member access for the explorer (reachability.cpp) and its
+/// marking domains (engine.h) — one named back door instead of a friend
+/// list.
 struct GraphAccess {
   static MarkingStore& dense_store(ReachabilityGraph& g) { return g.store_; }
   static MarkingInterner& dense_index(ReachabilityGraph& g) {
@@ -206,15 +196,6 @@ void delta_enabled(const PetriNet& net,
                    TransitionId fired, MarkingView next,
                    std::vector<TransitionId>& out,
                    std::vector<TransitionId>& candidates);
-
-/// Entry point of the multi-threaded explorer (explore_parallel.cpp);
-/// `explore` dispatches here when `options.threads > 1`, after resolving
-/// `options.engine` (`packed` is the resolved choice, never auto). A packed
-/// run throws `PackedUnsafe` (engine.h) on a 1-safety violation; the
-/// dispatcher turns that into a dense rerun.
-[[nodiscard]] ReachabilityGraph explore_parallel(const PetriNet& net,
-                                                 const ReachOptions& options,
-                                                 bool packed);
 
 /// Cap on the rows/slots pre-reserved from the `max_states` hint. Arena and
 /// table growth are amortized-linear doublings, so reserving buys only the

@@ -14,8 +14,7 @@ namespace cipnet::testutil {
 
 /// Exact (bit-identical) graph equality: same state count, same marking at
 /// every state id, same edge list (order included) at every state. This is
-/// the contract both the parallel explorer (vs sequential) and the packed
-/// engine (vs dense) are held to.
+/// the contract the packed engine is held to against the dense one.
 inline ::testing::AssertionResult graphs_identical(const ReachabilityGraph& a,
                                                    const ReachabilityGraph& b) {
   if (a.state_count() != b.state_count()) {

@@ -3,7 +3,7 @@
 # "Durability & crash recovery").
 #
 # A 14-toggle net (2^14 = 16384 states) is explored three ways per
-# engine × thread-count combination:
+# engine (dense and packed):
 #
 #   1. uninterrupted — the reference `digest:` line;
 #   2. killed — `--crash-after-ckpts 2` raises SIGKILL right after the
@@ -43,47 +43,44 @@ digest_of() {
 }
 
 for ENGINE in dense packed; do
-  for THREADS in 1 4; do
-    TAG="$ENGINE-t$THREADS"
-    CKPT="$WORK/ck-$TAG.bin"
+  CKPT="$WORK/ck-$ENGINE.bin"
 
-    # 1. Uninterrupted reference run.
-    "$CIPNET" reach "$NET" "$ENGINE" --threads "$THREADS" \
-      > "$WORK/ref-$TAG.out" 2>"$WORK/ref-$TAG.err" || {
-      echo "reference run failed ($TAG):" >&2
-      cat "$WORK/ref-$TAG.err" >&2
-      exit 1
-    }
-    REF="$(digest_of "$WORK/ref-$TAG.out")"
-    [ -n "$REF" ] || { echo "no digest in reference output ($TAG)" >&2; exit 1; }
+  # 1. Uninterrupted reference run.
+  "$CIPNET" reach "$NET" "$ENGINE" \
+    > "$WORK/ref-$ENGINE.out" 2>"$WORK/ref-$ENGINE.err" || {
+    echo "reference run failed ($ENGINE):" >&2
+    cat "$WORK/ref-$ENGINE.err" >&2
+    exit 1
+  }
+  REF="$(digest_of "$WORK/ref-$ENGINE.out")"
+  [ -n "$REF" ] || { echo "no digest in reference output ($ENGINE)" >&2; exit 1; }
 
-    # 2. Crash mid-exploration: SIGKILL lands right after the second
-    # checkpoint write, so the process dies with work in flight.
-    "$CIPNET" reach "$NET" "$ENGINE" --threads "$THREADS" \
-      --checkpoint "$CKPT" --checkpoint-every 1000 --crash-after-ckpts 2 \
-      > "$WORK/crash-$TAG.out" 2>&1
-    CRASH_EXIT=$?
-    if [ "$CRASH_EXIT" -ne 137 ]; then
-      echo "crash run exited $CRASH_EXIT, expected 137 (SIGKILL) ($TAG)" >&2
-      cat "$WORK/crash-$TAG.out" >&2
-      exit 1
-    fi
-    [ -f "$CKPT" ] || { echo "no checkpoint survived the kill ($TAG)" >&2; exit 1; }
+  # 2. Crash mid-exploration: SIGKILL lands right after the second
+  # checkpoint write, so the process dies with work in flight.
+  "$CIPNET" reach "$NET" "$ENGINE" \
+    --checkpoint "$CKPT" --checkpoint-every 1000 --crash-after-ckpts 2 \
+    > "$WORK/crash-$ENGINE.out" 2>&1
+  CRASH_EXIT=$?
+  if [ "$CRASH_EXIT" -ne 137 ]; then
+    echo "crash run exited $CRASH_EXIT, expected 137 (SIGKILL) ($ENGINE)" >&2
+    cat "$WORK/crash-$ENGINE.out" >&2
+    exit 1
+  fi
+  [ -f "$CKPT" ] || { echo "no checkpoint survived the kill ($ENGINE)" >&2; exit 1; }
 
-    # 3. Resume from the surviving checkpoint and run to completion.
-    "$CIPNET" reach "$NET" "$ENGINE" --threads "$THREADS" \
-      --resume "$CKPT" > "$WORK/resume-$TAG.out" 2>"$WORK/resume-$TAG.err" || {
-      echo "resume run failed ($TAG):" >&2
-      cat "$WORK/resume-$TAG.err" >&2
-      exit 1
-    }
-    RESUMED="$(digest_of "$WORK/resume-$TAG.out")"
-    if [ "$RESUMED" != "$REF" ]; then
-      echo "digest mismatch after resume ($TAG): ref=$REF resumed=$RESUMED" >&2
-      exit 1
-    fi
-    echo "resume smoke: $TAG ok (digest $REF)" >&2
-  done
+  # 3. Resume from the surviving checkpoint and run to completion.
+  "$CIPNET" reach "$NET" "$ENGINE" \
+    --resume "$CKPT" > "$WORK/resume-$ENGINE.out" 2>"$WORK/resume-$ENGINE.err" || {
+    echo "resume run failed ($ENGINE):" >&2
+    cat "$WORK/resume-$ENGINE.err" >&2
+    exit 1
+  }
+  RESUMED="$(digest_of "$WORK/resume-$ENGINE.out")"
+  if [ "$RESUMED" != "$REF" ]; then
+    echo "digest mismatch after resume ($ENGINE): ref=$REF resumed=$RESUMED" >&2
+    exit 1
+  fi
+  echo "resume smoke: $ENGINE ok (digest $REF)" >&2
 done
 
 # --- corrupted checkpoint: quarantined, cold start, same answer -------------
@@ -100,7 +97,7 @@ head -c 1000 "$CKPT" > "$CKPT.tmp" && mv "$CKPT.tmp" "$CKPT"
   cat "$WORK/corrupt.err" >&2
   exit 1
 }
-REF="$(digest_of "$WORK/ref-dense-t1.out")"
+REF="$(digest_of "$WORK/ref-dense.out")"
 GOT="$(digest_of "$WORK/corrupt.out")"
 if [ "$GOT" != "$REF" ]; then
   echo "cold-start digest mismatch after corruption: ref=$REF got=$GOT" >&2

@@ -129,20 +129,9 @@ TEST(MarkingInterner, LimitBlocksFreshInsertOnly) {
   EXPECT_EQ(dup.id, 0u);
 }
 
-TEST(MarkingInterner, InternHashedMatchesRowHash) {
-  MarkingStore store(3);
-  MarkingInterner interner;
-  auto a = row3(4, 0, 9);
-  auto r1 = interner.intern_hashed(row_hash(a.data(), 3), a.data(), store);
-  EXPECT_TRUE(r1.fresh);
-  auto r2 = interner.intern(a.data(), store);
-  EXPECT_FALSE(r2.fresh);
-  EXPECT_EQ(r2.id, r1.id);
-}
-
 TEST(MarkingInterner, RebuildReindexesAForeignStore) {
-  // The parallel explorer fills a store row-by-row from shard arenas and
-  // then rebuilds the interner over it; the rebuilt index must resolve
+  // A resumed exploration fills a store row-by-row from checkpointed rows
+  // and then rebuilds the interner over it; the rebuilt index must resolve
   // every row to its position.
   MarkingStore store(2);
   for (std::uint32_t i = 0; i < 500; ++i) {

@@ -544,7 +544,7 @@ TEST(Progress, ConcurrentWorkersOnOneReporterPublishOncePerInterval) {
   obs::ProgressBus::instance().set_interval_ms(10);
   const auto start = std::chrono::steady_clock::now();
   {
-    // The parallel explorer's shape: many workers heartbeat one reporter.
+    // Many workers heartbeat one reporter.
     obs::ProgressReporter reporter("test.mt.shared");
     std::vector<std::thread> workers;
     for (int w = 0; w < 4; ++w) {
@@ -600,21 +600,17 @@ TEST(Progress, ConcurrentReportersThrottleIndependently) {
                                               "test.mt.2"}));
 }
 
-TEST(Progress, TargetAndShardSupplierReachTheEvent) {
+TEST(Progress, TargetReachesTheEvent) {
   ProgressProbe probe;
   obs::ProgressBus::instance().set_interval_ms(0);
   {
     obs::ProgressReporter reporter("test.target");
     reporter.set_target(100);
-    reporter.set_shard_supplier(
-        [] { return std::vector<std::uint64_t>{30, 20}; });
     reporter.update(50);
   }
   obs::ProgressBus::instance().set_interval_ms(500);
   ASSERT_EQ(probe.events.size(), 2u);
   EXPECT_EQ(probe.events[0].target, 100u);
-  EXPECT_EQ(probe.events[0].shard_items,
-            (std::vector<std::uint64_t>{30, 20}));
   EXPECT_TRUE(probe.events[1].final_event);
 }
 
@@ -662,13 +658,12 @@ TEST(Sinks, JsonlWritesProgressEvents) {
   const json::Value* final_flag = doc.find("final");
   ASSERT_NE(final_flag, nullptr);
   EXPECT_TRUE(final_flag->as_bool());
-  // No target and no shards set: the optional fields stay absent.
+  // No target set: the optional fields stay absent.
   EXPECT_EQ(doc.find("target"), nullptr);
   EXPECT_EQ(doc.find("eta_ms"), nullptr);
-  EXPECT_EQ(doc.find("shards"), nullptr);
 }
 
-TEST(Sinks, JsonlProgressCarriesTargetEtaAndShards) {
+TEST(Sinks, JsonlProgressCarriesTargetAndEta) {
   std::ostringstream out;
   obs::JsonlSink sink(out);
   obs::ProgressEvent ev;
@@ -676,17 +671,10 @@ TEST(Sinks, JsonlProgressCarriesTargetEtaAndShards) {
   ev.items = 40;
   ev.target = 100;
   ev.eta_ms = 1500;
-  ev.shard_items = {25, 15, 0};
   sink.write_progress(ev);
   const json::Value doc = json::parse(out.str());
   EXPECT_EQ(doc.get_number("target"), 100.0);
   EXPECT_EQ(doc.get_number("eta_ms"), 1500.0);
-  const json::Value* shards = doc.find("shards");
-  ASSERT_NE(shards, nullptr);
-  ASSERT_TRUE(shards->is_array());
-  ASSERT_EQ(shards->items().size(), 3u);
-  EXPECT_EQ(shards->items()[0].as_number(), 25.0);
-  EXPECT_EQ(shards->items()[2].as_number(), 0.0);
 }
 
 TEST(Sinks, JsonlCountersIncludeHistograms) {

@@ -58,6 +58,12 @@ TEST(Reachability, StateLimitRaises) {
   EXPECT_THROW(explore(two_independent_cycles(), options), LimitError);
 }
 
+TEST(Reachability, ZeroStateBudgetRaisesImmediately) {
+  ReachOptions options;
+  options.max_states = 0;
+  EXPECT_THROW((void)explore(two_independent_cycles(), options), LimitError);
+}
+
 TEST(Reachability, DeadlockedNetHasOneState) {
   PetriNet net;
   net.add_place("p", 0);
@@ -65,6 +71,29 @@ TEST(Reachability, DeadlockedNetHasOneState) {
   EXPECT_EQ(rg.state_count(), 1u);
   EXPECT_EQ(deadlock_states(rg),
             (std::vector<StateId>{rg.initial()}));
+}
+
+TEST(Reachability, SingleStateNetHasNoEdges) {
+  PetriNet net;
+  net.add_place("p", 0);
+  auto rg = explore(net);
+  EXPECT_EQ(rg.state_count(), 1u);
+  EXPECT_EQ(rg.edge_count(), 0u);
+  EXPECT_TRUE(rg.contains(net.initial_marking()));
+}
+
+TEST(Reachability, ContainsResolvesEveryStoredDenseMarking) {
+  // ReachPacked.ContainsPacksTheQueryMarking covers the packed index.
+  PetriNet net = two_independent_cycles();
+  ReachOptions options;
+  options.engine = ReachEngine::kDense;
+  auto rg = explore(net, options);
+  for (StateId s : rg.all_states()) {
+    EXPECT_TRUE(rg.contains(rg.marking(s).to_marking()));
+  }
+  Marking absent(net.place_count());
+  EXPECT_FALSE(rg.contains(absent));
+  EXPECT_FALSE(rg.contains(Marking(net.place_count() + 1)));
 }
 
 TEST(Properties, BoundedNetDetected) {

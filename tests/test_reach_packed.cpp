@@ -1,9 +1,8 @@
 // The packed 1-safe marking engine: PackedNet mask construction, the
 // structural safety predicate that auto-selects it, and the hard contract
 // that packed exploration is bit-identical to dense exploration — same
-// states, same ids, same edge order — sequentially and under the parallel
-// explorer, with a dynamic fallback to dense whenever the 1-safe encoding
-// turns out to be unsound for the net at hand.
+// states, same ids, same edge order — with a dynamic fallback to dense
+// whenever the 1-safe encoding turns out to be unsound for the net at hand.
 
 #include <gtest/gtest.h>
 
@@ -46,10 +45,9 @@ PetriNet second_token_net() {
   return net;
 }
 
-ReachOptions with_engine(ReachEngine engine, std::size_t threads = 1) {
+ReachOptions with_engine(ReachEngine engine) {
   ReachOptions options;
   options.engine = engine;
-  options.threads = threads;
   return options;
 }
 
@@ -251,7 +249,7 @@ TEST(ReachPacked, BitIdenticalOnPaperFigures) {
   }
 }
 
-TEST(ReachPacked, BitIdenticalOnRandomNetsSequentialAndParallel) {
+TEST(ReachPacked, BitIdenticalOnRandomNets) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     RandomNetConfig config;
     config.places = 7;
@@ -267,13 +265,10 @@ TEST(ReachPacked, BitIdenticalOnRandomNetsSequentialAndParallel) {
     } catch (const LimitError&) {
       continue;  // unbounded / huge sample: every engine would overflow
     }
-    for (std::size_t threads : {1u, 2u, 4u}) {
-      ReachOptions options = with_engine(ReachEngine::kPacked, threads);
-      options.max_states = 20'000;
-      auto packed = explore(net, options);
-      EXPECT_TRUE(graphs_identical(dense, packed))
-          << "seed=" << seed << " threads=" << threads;
-    }
+    ReachOptions options = with_engine(ReachEngine::kPacked);
+    options.max_states = 20'000;
+    auto packed = explore(net, options);
+    EXPECT_TRUE(graphs_identical(dense, packed)) << "seed=" << seed;
   }
 }
 
@@ -292,24 +287,6 @@ TEST(ReachPacked, BitIdenticalAcrossManyPlacesWordBoundary) {
   // Truncated prefixes of the same BFS are identical too.
   EXPECT_TRUE(graphs_identical(dense, packed));
   EXPECT_TRUE(packed.truncated());
-}
-
-TEST(ReachPacked, ParallelPackedMatchesSequentialDense) {
-  PetriNet net = independent_cycles(8);  // 256 states
-  auto dense = explore(net, with_engine(ReachEngine::kDense));
-  for (std::size_t threads : {2u, 4u}) {
-    auto packed = explore(net, with_engine(ReachEngine::kPacked, threads));
-    EXPECT_EQ(packed.engine(), ReachEngine::kPacked);
-    EXPECT_TRUE(graphs_identical(dense, packed)) << "threads=" << threads;
-  }
-}
-
-TEST(ReachPacked, ParallelForcedPackedFallsBackToDense) {
-  PetriNet net = second_token_net();
-  auto dense = explore(net, with_engine(ReachEngine::kDense));
-  auto packed = explore(net, with_engine(ReachEngine::kPacked, 4));
-  EXPECT_EQ(packed.engine(), ReachEngine::kDense);
-  EXPECT_TRUE(graphs_identical(dense, packed));
 }
 
 TEST(ReachPacked, LimitErrorStillRaisedUnderPacked) {

@@ -24,9 +24,9 @@ const char* kSpanTrace =
     "\n";
 
 const char* kProgressAndSamples =
-    R"({"event":"progress","phase":"reach.explore","items":100,"frontier":12,"items_per_sec":5000.0,"elapsed_ms":20,"peak_rss_bytes":1048576,"shards":[60,40,0,0],"final":false})"
+    R"({"event":"progress","phase":"reach.explore","items":100,"frontier":12,"items_per_sec":5000.0,"elapsed_ms":20,"peak_rss_bytes":1048576,"final":false})"
     "\n"
-    R"({"event":"progress","phase":"reach.explore","items":320,"frontier":0,"items_per_sec":6000.0,"elapsed_ms":53,"peak_rss_bytes":2097152,"shards":[200,120,0,0],"final":true})"
+    R"({"event":"progress","phase":"reach.explore","items":320,"frontier":0,"items_per_sec":6000.0,"elapsed_ms":53,"peak_rss_bytes":2097152,"final":true})"
     "\n"
     R"({"event":"sample","seq":1,"ns":1000000,"rss_bytes":1048576,"counters":{"reach.states":100},"gauges":{},"histograms":{}})"
     "\n"
@@ -96,11 +96,6 @@ TEST(Report, ProgressAndSampleStreamsBuildCurves) {
   ASSERT_EQ(pm.samples.size(), 2u);
   EXPECT_EQ(pm.samples[0].states, 100u);
   EXPECT_EQ(pm.samples[1].rss_bytes, 2097152u);
-
-  // The shard table reflects the *last* heartbeat payload.
-  ASSERT_EQ(pm.shard_items.size(), 4u);
-  EXPECT_EQ(pm.shard_items[0], 200u);
-  EXPECT_EQ(pm.shard_items[1], 120u);
 }
 
 TEST(Report, FlightDumpYieldsKindAndFaultSiteBreakdown) {
@@ -175,8 +170,7 @@ TEST(Report, TextRenderingCoversEverySection) {
   const std::string out = obs::render_postmortem(full_postmortem(), "text");
   for (const char* section :
        {"Phase breakdown", "Top spans", "Throughput", "RSS curve",
-        "Shard balance", "Flight recorder", "Fault sites",
-        "Final counters"}) {
+        "Flight recorder", "Fault sites", "Final counters"}) {
     EXPECT_NE(out.find(section), std::string::npos) << section;
   }
   EXPECT_NE(out.find("reach.explore"), std::string::npos);
@@ -217,12 +211,6 @@ TEST(Report, JsonRenderingRoundTripsThroughTheStrictParser) {
 
   ASSERT_TRUE(doc.find("phases")->is_array());
   EXPECT_EQ(doc.find("phases")->items().size(), pm.phases.size());
-
-  const json::Value* shards = doc.find("shards");
-  ASSERT_NE(shards, nullptr);
-  ASSERT_TRUE(shards->is_object());
-  EXPECT_EQ(shards->get_number("count", 0), 4.0);
-  EXPECT_EQ(shards->get_number("max", 0), 200.0);
 
   const json::Value* flight = doc.find("flight");
   ASSERT_NE(flight, nullptr);

@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "reach/coverability.h"
 #include "reach/reachability.h"
-#include "svc/retry.h"
 #include "svc/scheduler.h"
 #include "svc/service.h"
 #include "util/cancel.h"
@@ -102,21 +101,6 @@ TEST_F(Resilience, SequentialExploreTruncatesAtMemoryBudget) {
   ReachOptions strict;
   strict.max_graph_bytes = 1;
   EXPECT_THROW(static_cast<void>(explore(toggle_net(8), strict)), LimitError);
-}
-
-TEST_F(Resilience, ParallelExploreTruncatesWithoutThrowing) {
-  ReachOptions options;
-  options.threads = 4;
-  options.max_states = 10;
-  options.truncate_on_limit = true;
-  const ReachabilityGraph rg = explore(toggle_net(8), options);
-  EXPECT_TRUE(rg.truncated());
-  EXPECT_GE(rg.state_count(), 1u);
-  for (StateId s : rg.all_states()) {
-    for (const auto& e : rg.successors(s)) {
-      EXPECT_LT(e.to.index(), rg.state_count());
-    }
-  }
 }
 
 TEST_F(Resilience, UntruncatedRunsAreNotMarked) {
@@ -362,82 +346,6 @@ TEST_F(Resilience, OversizedSubmitLineRejectedUpFront) {
   const json::Value doc = json::parse(response);
   EXPECT_FALSE(doc.find("ok")->as_bool());
   EXPECT_EQ(doc.find("error")->get_string("code"), "bad_request");
-}
-
-// ---------------------------------------------------------------------------
-// Client backoff
-
-TEST_F(Resilience, RetryScheduleGrowsCapsAndHonorsHints) {
-  svc::RetryPolicy policy;
-  policy.base_ms = 10;
-  policy.multiplier = 2.0;
-  policy.max_ms = 1000;
-  policy.jitter = 0.0;
-  const svc::RetrySchedule schedule(policy);
-  EXPECT_EQ(schedule.delay_ms(0, 0), 11u);   // base + 1
-  EXPECT_EQ(schedule.delay_ms(1, 0), 21u);
-  EXPECT_EQ(schedule.delay_ms(2, 0), 41u);
-  EXPECT_EQ(schedule.delay_ms(10, 0), 1001u);  // capped
-  // The server hint is a floor, not a suggestion.
-  EXPECT_EQ(schedule.delay_ms(0, 500), 501u);
-  EXPECT_GE(schedule.delay_ms(10, 5000), 5000u);
-}
-
-TEST_F(Resilience, RetryJitterIsBoundedAndDeterministic) {
-  svc::RetryPolicy policy;
-  policy.base_ms = 100;
-  policy.multiplier = 1.0;
-  policy.max_ms = 100;
-  policy.jitter = 0.2;
-  policy.seed = 7;
-  const svc::RetrySchedule a(policy);
-  const svc::RetrySchedule b(policy);
-  for (std::size_t attempt = 0; attempt < 16; ++attempt) {
-    const std::uint64_t delay = a.delay_ms(attempt, 0);
-    EXPECT_EQ(delay, b.delay_ms(attempt, 0));  // same seed, same delays
-    EXPECT_GE(delay, 80u);   // 100 * (1 - 0.2)
-    EXPECT_LE(delay, 121u);  // 100 * (1 + 0.2) + 1
-  }
-  policy.seed = 8;
-  const svc::RetrySchedule c(policy);
-  bool any_diff = false;
-  for (std::size_t attempt = 0; attempt < 16; ++attempt) {
-    any_diff = any_diff || c.delay_ms(attempt, 0) != a.delay_ms(attempt, 0);
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST_F(Resilience, SubmitWithRetrySucceedsAfterTransientRejection) {
-  // The first enqueue is rejected by the injected fault; the retry lands.
-  fault::configure("svc.scheduler.enqueue=n1");
-  svc::AnalysisService service;
-  svc::RetryPolicy policy;
-  policy.jitter = 0.0;
-  std::vector<std::uint64_t> delays;
-  const svc::RetryResult result = svc::submit_with_retry(
-      service, "{\"id\":1,\"op\":\"ping\"}", policy,
-      [&](std::uint64_t d) { delays.push_back(d); });
-  EXPECT_FALSE(result.gave_up);
-  EXPECT_EQ(result.attempts, 2u);
-  EXPECT_EQ(delays.size(), 1u);
-  EXPECT_TRUE(json::parse(result.response).find("ok")->as_bool());
-}
-
-TEST_F(Resilience, SubmitWithRetryGivesUpAgainstAWallOfRejections) {
-  fault::configure("svc.scheduler.enqueue=every1");  // reject everything
-  svc::AnalysisService service;
-  svc::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.jitter = 0.0;
-  std::size_t waits = 0;
-  const svc::RetryResult result = svc::submit_with_retry(
-      service, "{\"id\":1,\"op\":\"ping\"}", policy,
-      [&](std::uint64_t) { ++waits; });
-  EXPECT_TRUE(result.gave_up);
-  EXPECT_EQ(result.attempts, 3u);
-  EXPECT_EQ(waits, 2u);  // no wait after the final attempt
-  const json::Value doc = json::parse(result.response);
-  EXPECT_EQ(doc.find("error")->get_string("code"), "overloaded");
 }
 
 }  // namespace

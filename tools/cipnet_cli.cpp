@@ -126,7 +126,6 @@ int cmd_reach(const std::vector<std::string>& args) {
       return true;
     };
     if (args[i] == "--max-states" && numeric(options.max_states)) {
-    } else if (args[i] == "--threads" && numeric(options.threads)) {
     } else if (args[i] == "--checkpoint" && text(options.checkpoint_path)) {
     } else if (args[i] == "--checkpoint-every" &&
                numeric(options.checkpoint_every_states)) {

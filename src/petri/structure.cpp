@@ -1,10 +1,6 @@
 #include "petri/structure.h"
 
-#include <algorithm>
-
 #include "obs/trace.h"
-#include "petri/invariants.h"
-#include "util/error.h"
 
 namespace cipnet {
 
@@ -58,48 +54,6 @@ bool is_extended_free_choice(const PetriNet& net) {
     }
   }
   return true;
-}
-
-bool is_structurally_safe(const PetriNet& net) {
-  obs::Span span("petri.safety_check");
-  const Marking& m0 = net.initial_marking();
-  for (Token t : m0.tokens()) {
-    if (t > 1) return false;  // M0 itself is reachable
-  }
-  // Producer-free places can only lose their (at most one) token.
-  std::vector<bool> proven(net.place_count(), false);
-  std::size_t open = 0;
-  for (PlaceId p : net.all_places()) {
-    if (net.producers_of(p).empty()) {
-      proven[p.index()] = true;
-    } else {
-      ++open;
-    }
-  }
-  if (open == 0) return true;
-  // A state machine moves exactly one token per firing, so the total is
-  // invariant; one token in the whole net bounds every place by 1.
-  if (m0.total() <= 1 && is_state_machine(net)) return true;
-  // Semiflow cover under a small Farkas budget — enumeration blowup means
-  // "not proven", never an error surfaced to the caller.
-  InvariantOptions options;
-  options.max_rows = 512;
-  std::vector<Semiflow> flows;
-  try {
-    flows = place_semiflows(net, options);
-  } catch (const LimitError&) {
-    return false;
-  }
-  for (const Semiflow& y : flows) {
-    const std::int64_t constant = invariant_constant(net, y);
-    for (std::size_t p = 0; p < net.place_count(); ++p) {
-      if (!proven[p] && y.weights[p] >= 1 && constant <= y.weights[p]) {
-        proven[p] = true;
-        --open;
-      }
-    }
-  }
-  return open == 0;
 }
 
 Digraph flow_digraph(const PetriNet& net) {

@@ -25,24 +25,6 @@ struct StructureClass {
 
 [[nodiscard]] StructureClass classify(const PetriNet& net);
 
-/// Structural proof of 1-safety: true only when every reachable marking is
-/// guaranteed to hold at most one token per place, established without
-/// exploring the state space. Sufficient conditions checked, cheapest
-/// first:
-///
-///  * every place with no producer is bounded by its initial tokens;
-///  * a state machine (every transition 1-in/1-out) conserves the total
-///    token count, so total(M0) <= 1 bounds every place by 1;
-///  * a place `p` covered by a P-semiflow `y` with `y_p >= 1` and
-///    `y . M0 <= y_p` satisfies `M(p) <= (y . M0) / y_p <= 1` in every
-///    reachable marking (the Farkas enumeration runs under a small row
-///    budget; blowing it is treated as "not proven").
-///
-/// `false` means *not proven*, not "provably unsafe" — the packed
-/// reachability engine (docs/PERFORMANCE.md) uses this as its selection
-/// predicate and keeps a dynamic guard for forced-packed runs.
-[[nodiscard]] bool is_structurally_safe(const PetriNet& net);
-
 [[nodiscard]] bool is_marked_graph(const PetriNet& net);
 [[nodiscard]] bool is_state_machine(const PetriNet& net);
 [[nodiscard]] bool is_free_choice(const PetriNet& net);

@@ -94,8 +94,7 @@ struct PackedDomain {
       : net(n), masks(n), width(masks.words()) {}
 
   /// Throws `PackedUnsafe` if M0 itself has no 1-safe encoding (some place
-  /// starts with two tokens) — possible only under a forced packed engine;
-  /// auto-selection proves safety of M0 first.
+  /// starts with two tokens); `explore` selects packed only when it has one.
   void initial_row(std::vector<Cell>& out) const {
     out.resize(width);
     if (!packed::pack_row(net.initial_marking().tokens().data(),
@@ -126,9 +125,12 @@ struct PackedDomain {
   }
 };
 
-/// Domain-generic incremental enabled-set maintenance (see the dense
-/// `delta_enabled` doc in reachability.h). The candidate set is purely
-/// structural — consumers of places the firing marks — so it is shared;
+/// Incremental enabled-set maintenance: given the enabled set of a parent
+/// marking and the transition fired to reach `next`, produce `next`'s
+/// enabled set (ascending) by rechecking only the parent's set plus the
+/// consumers of places that gained a token — instead of rescanning all |T|
+/// transitions per state. `candidates` is caller-provided scratch. The
+/// candidate set is purely structural, so it is shared by both domains;
 /// only the enabledness recheck goes through the domain. The ascending
 /// merge order is part of the bit-identity contract between engines.
 template <class Domain>

@@ -10,7 +10,6 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "petri/canonical.h"
-#include "petri/structure.h"
 #include "reach/checkpoint.h"
 #include "reach/engine.h"
 #include "util/atomic_file.h"
@@ -39,6 +38,15 @@ const obs::Counter c_persist_errors("store.persist.errors");
 const obs::Counter c_resume_loaded("store.resume.loaded");
 const obs::Counter c_resume_rejected("store.resume.rejected");
 const obs::Counter c_corrupt_skipped("store.corrupt.skipped");
+
+/// Arena + adjacency footprint — the one sum behind
+/// `estimated_graph_bytes()`, the `reach.graph_bytes` gauge and the
+/// `max_graph_bytes` budget.
+std::size_t graph_bytes(std::size_t arena_bytes, std::size_t rows,
+                        std::size_t edges) {
+  return arena_bytes + rows * sizeof(std::vector<ReachabilityGraph::Edge>) +
+         edges * sizeof(ReachabilityGraph::Edge);
+}
 }  // namespace
 
 const char* to_string(ReachEngine engine) {
@@ -56,7 +64,6 @@ const char* to_string(ReachEngine engine) {
 std::optional<ReachEngine> parse_reach_engine(std::string_view name) {
   if (name == "auto") return ReachEngine::kAuto;
   if (name == "dense") return ReachEngine::kDense;
-  if (name == "packed") return ReachEngine::kPacked;
   return std::nullopt;
 }
 
@@ -67,10 +74,9 @@ std::size_t ReachabilityGraph::edge_count() const {
 }
 
 std::size_t ReachabilityGraph::estimated_graph_bytes() const {
-  const std::size_t arena =
-      packed_ ? packed_store_.arena_bytes() : store_.arena_bytes();
-  return arena + edges_.size() * sizeof(std::vector<Edge>) +
-         edge_count() * sizeof(Edge);
+  return graph_bytes(
+      packed_ ? packed_store_.arena_bytes() : store_.arena_bytes(),
+      edges_.size(), edge_count());
 }
 
 std::size_t ReachabilityGraph::estimated_index_bytes() const {
@@ -107,15 +113,6 @@ void packed_fault_check() {
   if (CIPNET_FAULT_FIRES(f_packed_fallback)) throw PackedUnsafe{};
 }
 
-void delta_enabled(const PetriNet& net,
-                   const std::vector<TransitionId>& parent_enabled,
-                   TransitionId fired, MarkingView next,
-                   std::vector<TransitionId>& out,
-                   std::vector<TransitionId>& candidates) {
-  const DenseDomain dom(net);
-  delta_enabled_t(dom, parent_enabled, fired, next.data(), out, candidates);
-}
-
 }  // namespace reach_detail
 
 namespace {
@@ -147,14 +144,14 @@ ReachabilityGraph explore_seq(const Domain& dom, const PetriNet& net,
 
   std::size_t edges_added = 0;
   bool truncated = false;
-  // O(1) live estimate of the graph + marking-index footprint, refreshed
-  // from the running counts (edge_count() would rescan every state).
+  // O(1) live estimate of the graph footprint, from the running counts
+  // (edge_count() would rescan every state).
+  auto live_graph_bytes = [&] {
+    return graph_bytes(store.arena_bytes(), edges.size(), edges_added);
+  };
   auto sample_memory = [&] {
     if (!obs::enabled()) return;
-    g_graph_bytes.set(store.arena_bytes() +
-                      edges.size() * sizeof(std::vector<
-                                            ReachabilityGraph::Edge>) +
-                      edges_added * sizeof(ReachabilityGraph::Edge));
+    g_graph_bytes.set(live_graph_bytes());
     g_index_bytes.set(index.table_bytes());
   };
   auto limit_error = [&] {
@@ -164,13 +161,9 @@ ReachabilityGraph explore_seq(const Domain& dom, const PetriNet& net,
             std::to_string(options.max_states) + " states",
         LimitContext{store.size(), edges_added, options.max_states});
   };
-  // O(1) footprint estimate for the memory-budget guard (same quantities
-  // the gauges report, plus the index table).
+  // Memory-budget guard: the gauges' two quantities summed.
   auto approx_bytes = [&] {
-    return store.arena_bytes() +
-           edges.size() * sizeof(std::vector<ReachabilityGraph::Edge>) +
-           edges_added * sizeof(ReachabilityGraph::Edge) +
-           index.table_bytes();
+    return live_graph_bytes() + index.table_bytes();
   };
 
   // Enabled sets of discovered-but-unexpanded states, maintained
@@ -332,19 +325,14 @@ ReachabilityGraph explore_seq(const Domain& dom, const PetriNet& net,
 }  // namespace
 
 ReachabilityGraph explore(const PetriNet& net, const ReachOptions& options) {
-  bool use_packed = false;
-  switch (options.engine) {
-    case ReachEngine::kDense:
-      break;
-    case ReachEngine::kPacked:
-      use_packed = true;
-      break;
-    case ReachEngine::kAuto:
-      // Select packed only on a structural *proof* of 1-safety, so the
-      // dynamic guard cannot trip and auto never pays a fallback rerun.
-      use_packed = is_structurally_safe(net);
-      break;
+  if (options.engine == ReachEngine::kPacked) {
+    throw Error("reach engine 'packed' is not a request; use auto or dense");
   }
+  // Optimistic selection: packed whenever M0 has a 1-safe encoding. A firing
+  // that would put a second token on a place throws `PackedUnsafe` and the
+  // exploration reruns dense — the only 1-safety guard.
+  bool use_packed = options.engine == ReachEngine::kAuto &&
+                    net.initial_marking().is_safe();
   reach_detail::CheckpointImage resume_image;
   const reach_detail::CheckpointImage* resume = nullptr;
   if (!options.resume_path.empty()) {
@@ -370,14 +358,18 @@ ReachabilityGraph explore(const PetriNet& net, const ReachOptions& options) {
           obs::FlightKind::kCustom, 0, "store.corrupt.skipped: " + loaded.why,
           0, 0);
     } else if (loaded.status == reach_detail::LoadStatus::kOk) {
+      // Where packed is on the table, the image decides the engine: a dense
+      // checkpoint of this net means the packed attempt already failed.
+      const bool image_packed = use_packed && loaded.image.packed;
       const std::string reject =
-          reach_detail::validate_checkpoint(loaded.image, net, use_packed);
+          reach_detail::validate_checkpoint(loaded.image, net, image_packed);
       if (!reject.empty()) {
         c_resume_rejected.add();
         obs::FlightRecorder::instance().record(
             obs::FlightKind::kCustom, 0, "store.resume.rejected: " + reject,
             loaded.image.state_count, 0);
       } else {
+        use_packed = image_packed;
         resume_image = std::move(loaded.image);
         resume = &resume_image;
         c_resume_loaded.add();
@@ -394,8 +386,8 @@ ReachabilityGraph explore(const PetriNet& net, const ReachOptions& options) {
       const reach_detail::PackedDomain dom(net);
       return explore_seq(dom, net, options, resume);
     } catch (const reach_detail::PackedUnsafe&) {
-      // The net is not 1-safe after all (forced packed engine), or the
-      // reach.packed.fallback fault fired: rerun on the dense engine.
+      // The net is not 1-safe after all, or the reach.packed.fallback fault
+      // fired: rerun on the dense engine.
       c_packed_fallbacks.add();
     }
   }

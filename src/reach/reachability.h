@@ -19,17 +19,21 @@ namespace cipnet {
 ///  * `kPacked` — one *bit* per place (petri/packed.h); sound only for
 ///    1-safe nets, 8-32x smaller per state and word-parallel on the firing
 ///    rule. If a firing would put a second token on a place, the packed run
-///    aborts and the exploration silently reruns dense (counted by
+///    aborts and the exploration reruns dense (counted by
 ///    `reach.packed.fallbacks`).
-///  * `kAuto`   — packed iff `is_structurally_safe(net)` proves 1-safety
-///    up front, dense otherwise. The default: structurally safe nets never
-///    trip the dynamic guard, so auto never pays a fallback rerun.
+///  * `kAuto`   — packed whenever every place of M0 holds at most one
+///    token, dense otherwise. The default: the paper's nets are 1-safe by
+///    construction, and the dynamic second-token check is the only
+///    1-safety guard.
 ///
-/// Engine choice never changes the result: packed graphs are bit-identical
-/// to dense ones (same states, same ids, same edge order).
+/// A request names `kAuto` or `kDense`; `kPacked` is what
+/// `ReachabilityGraph::engine()` reports, never a request (`explore`
+/// rejects it). Engine choice never changes the result: packed graphs are
+/// bit-identical to dense ones (same states, same ids, same edge order).
 enum class ReachEngine { kAuto, kDense, kPacked };
 
-/// Wire names: "auto" / "dense" / "packed".
+/// Wire names: "auto" / "dense" / "packed". Only the two request values
+/// parse.
 [[nodiscard]] const char* to_string(ReachEngine engine);
 [[nodiscard]] std::optional<ReachEngine> parse_reach_engine(
     std::string_view name);
@@ -51,7 +55,7 @@ struct ReachOptions {
   /// `reach.graph_bytes` / `reach.index_bytes` gauges. Honors
   /// `truncate_on_limit`.
   std::size_t max_graph_bytes = 0;
-  /// Marking representation (see `ReachEngine`).
+  /// Marking representation: `kAuto` or `kDense` (see `ReachEngine`).
   ReachEngine engine = ReachEngine::kAuto;
   /// Durability (reach/checkpoint.h). With a non-empty `checkpoint_path`
   /// and `checkpoint_every_states > 0`, the explorer atomically replaces
@@ -64,7 +68,9 @@ struct ReachOptions {
   /// Continue from a checkpoint written by an earlier run. A missing file
   /// starts fresh; a corrupt one is quarantined to `.bad` and counted
   /// (`store.corrupt.skipped`); one for a different net / engine /
-  /// geometry is rejected and counted (`store.resume.rejected`). In every
+  /// geometry is rejected and counted (`store.resume.rejected`). Under
+  /// `kAuto` a checkpoint of this net decides the engine: a dense image
+  /// means the packed attempt already met a second token. In every
   /// fallback case the exploration simply runs from the initial marking —
   /// resume is an optimization, never a correctness dependency.
   std::string resume_path;
@@ -152,8 +158,9 @@ class ReachabilityGraph {
 };
 
 /// Breadth-first construction of RG(N). Throws `LimitError` if more than
-/// `options.max_states` markings are reachable. The returned graph does not
-/// depend on `options.engine` (see `ReachEngine`).
+/// `options.max_states` markings are reachable, and `Error` if
+/// `options.engine` is `kPacked`. The returned graph does not depend on
+/// `options.engine` (see `ReachEngine`).
 [[nodiscard]] ReachabilityGraph explore(const PetriNet& net,
                                         const ReachOptions& options = {});
 
@@ -185,17 +192,6 @@ struct GraphAccess {
     g.places_ = places;
   }
 };
-
-/// Incremental enabled-set maintenance: given the enabled set of a parent
-/// marking and the transition fired to reach `next`, produce `next`'s
-/// enabled set (ascending) by rechecking only the parent's set plus the
-/// consumers of places that gained a token — instead of rescanning all |T|
-/// transitions per state. `candidates` is caller-provided scratch.
-void delta_enabled(const PetriNet& net,
-                   const std::vector<TransitionId>& parent_enabled,
-                   TransitionId fired, MarkingView next,
-                   std::vector<TransitionId>& out,
-                   std::vector<TransitionId>& candidates);
 
 /// Cap on the rows/slots pre-reserved from the `max_states` hint. Arena and
 /// table growth are amortized-linear doublings, so reserving buys only the

@@ -7,6 +7,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <utility>
@@ -26,7 +27,6 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "petri/canonical.h"
-#include "petri/structure.h"
 #include "reach/coverability.h"
 #include "reach/properties.h"
 #include "reach/reachability.h"
@@ -107,7 +107,7 @@ struct AnalysisService::Request {
   std::vector<std::string> labels;
   bool has_labels = false;
   std::size_t max_states = 0;       // 0 = service default
-  std::string engine;               // `reach` op: auto|dense|packed
+  std::string engine;               // `reach` op: auto|dense
   std::string resume;               // `reach` op: checkpoint to continue from
   std::string checkpoint;           // `reach` op: checkpoint file to write
   std::size_t checkpoint_every = 0;  // `reach` op: cadence in states
@@ -422,10 +422,8 @@ std::string run_reach(const PetriNet& net, std::size_t max_states,
   json::Writer w;
   w.begin_object();
   if (truncated) w.member("truncated", true);
-  // The representation that actually built the graph ("dense"/"packed") and
-  // the structural 1-safety verdict that drives auto-selection.
+  // The representation that actually built the graph ("dense"/"packed").
   w.member("engine", to_string(rg.engine()));
-  w.member("structurally_safe", is_structurally_safe(net));
   w.member("states", rg.state_count());
   w.member("edges", rg.edge_count());
   w.member("deadlock_states", deadlock_states(rg).size());
@@ -449,7 +447,6 @@ std::string run_cover(const PetriNet& net, std::size_t max_nodes,
   json::Writer w;
   w.begin_object();
   if (truncated) w.member("truncated", true);
-  w.member("structurally_safe", is_structurally_safe(net));
   w.member("bounded", result.bounded());
   w.member("tree_nodes", result.tree_nodes);
   w.key("bounds").begin_array();
@@ -871,15 +868,17 @@ std::string AnalysisService::execute(const Request& req) {
       return succeed(run_version(), false);
     }
 
-    std::string payload;
-    bool truncated = false;
+    // Parse the input and key the request, then one cache-lookup/exec path
+    // for every cached op.
+    std::optional<PetriNet> net;
+    std::optional<Stg> stg;
     if (req.op == "reach" || req.op == "cover" || req.op == "hide") {
       if (req.net_text.empty()) {
         return fail("bad_request",
                     "op '" + req.op + "' needs a 'net' member (.cpn text)");
       }
-      PetriNet net = read_net(req.net_text);
-      key.net_hash = canonical_hash(net);
+      net = read_net(req.net_text);
+      key.net_hash = canonical_hash(*net);
       trace_scope.context().net_hash = key.net_hash;
       if (req.op == "reach") {
         if (!parse_reach_engine(req.engine)) {
@@ -897,61 +896,50 @@ std::string AnalysisService::execute(const Request& req) {
         }
         key.params = "labels=" + joined_sorted(req.labels);
       }
-      if (!req.no_cache) {
-        if (tracked) jobs_.on_phase(req.job_id, "cache_lookup");
-        const auto lookup_start = std::chrono::steady_clock::now();
-        auto hit = cache_.lookup(key);
-        timings.cache_lookup_us = us_since(lookup_start);
-        h_phase_cache_lookup.record(timings.cache_lookup_us);
-        if (hit) {
-          return succeed(*hit, true);
-        }
-      }
-      if (tracked) jobs_.on_phase(req.job_id, "exec");
-      const auto exec_start = std::chrono::steady_clock::now();
-      if (req.op == "reach") {
-        payload = run_reach(net, max_states, options_.max_graph_bytes,
-                            *parse_reach_engine(req.engine), req.checkpoint,
-                            req.checkpoint_every, req.resume, req.cancel,
-                            truncated);
-      } else if (req.op == "cover") {
-        payload = run_cover(net, max_states, req.cancel, truncated);
-      } else {
-        payload = run_hide(net, req.labels, req.cancel);
-      }
-      timings.exec_us = us_since(exec_start);
-      h_phase_exec.record(timings.exec_us);
     } else if (req.op == "synth") {
       if (req.stg_text.empty()) {
         return fail("bad_request",
                     "op 'synth' needs an 'stg' member (.g text)");
       }
-      Stg stg = read_astg(req.stg_text);
-      key.net_hash = canonical_hash(stg.net());
+      stg = read_astg(req.stg_text);
+      key.net_hash = canonical_hash(stg->net());
       trace_scope.context().net_hash = key.net_hash;
       key.params =
-          "outputs=" + joined_sorted(stg.signal_names(SignalKind::kOutput)) +
+          "outputs=" + joined_sorted(stg->signal_names(SignalKind::kOutput)) +
           ";internal=" +
-          joined_sorted(stg.signal_names(SignalKind::kInternal)) +
+          joined_sorted(stg->signal_names(SignalKind::kInternal)) +
           ";max_states=" + std::to_string(max_states);
-      if (!req.no_cache) {
-        if (tracked) jobs_.on_phase(req.job_id, "cache_lookup");
-        const auto lookup_start = std::chrono::steady_clock::now();
-        auto hit = cache_.lookup(key);
-        timings.cache_lookup_us = us_since(lookup_start);
-        h_phase_cache_lookup.record(timings.cache_lookup_us);
-        if (hit) {
-          return succeed(*hit, true);
-        }
-      }
-      if (tracked) jobs_.on_phase(req.job_id, "exec");
-      const auto exec_start = std::chrono::steady_clock::now();
-      payload = run_synth(stg, max_states, req.cancel);
-      timings.exec_us = us_since(exec_start);
-      h_phase_exec.record(timings.exec_us);
     } else {
       return fail("bad_request", "unknown op: " + req.op);
     }
+    if (!req.no_cache) {
+      if (tracked) jobs_.on_phase(req.job_id, "cache_lookup");
+      const auto lookup_start = std::chrono::steady_clock::now();
+      auto hit = cache_.lookup(key);
+      timings.cache_lookup_us = us_since(lookup_start);
+      h_phase_cache_lookup.record(timings.cache_lookup_us);
+      if (hit) {
+        return succeed(*hit, true);
+      }
+    }
+    if (tracked) jobs_.on_phase(req.job_id, "exec");
+    const auto exec_start = std::chrono::steady_clock::now();
+    std::string payload;
+    bool truncated = false;
+    if (req.op == "reach") {
+      payload = run_reach(*net, max_states, options_.max_graph_bytes,
+                          *parse_reach_engine(req.engine), req.checkpoint,
+                          req.checkpoint_every, req.resume, req.cancel,
+                          truncated);
+    } else if (req.op == "cover") {
+      payload = run_cover(*net, max_states, req.cancel, truncated);
+    } else if (req.op == "hide") {
+      payload = run_hide(*net, req.labels, req.cancel);
+    } else {
+      payload = run_synth(*stg, max_states, req.cancel);
+    }
+    timings.exec_us = us_since(exec_start);
+    h_phase_exec.record(timings.exec_us);
     // Truncated results are never memoized — they describe how far *this*
     // run got, not a property of the net.
     if (tracked) jobs_.on_phase(req.job_id, "serialize");

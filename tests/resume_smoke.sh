@@ -3,7 +3,8 @@
 # "Durability & crash recovery").
 #
 # A 14-toggle net (2^14 = 16384 states) is explored three ways per
-# engine (dense and packed):
+# engine request (dense and auto; the net is 1-safe, so auto must run
+# packed — that keeps the packed checkpoint path covered):
 #
 #   1. uninterrupted — the reference `digest:` line;
 #   2. killed — `--crash-after-ckpts 2` raises SIGKILL right after the
@@ -42,7 +43,7 @@ digest_of() {
   sed -n 's/^digest: //p' "$1" | head -n1
 }
 
-for ENGINE in dense packed; do
+for ENGINE in dense auto; do
   CKPT="$WORK/ck-$ENGINE.bin"
 
   # 1. Uninterrupted reference run.
@@ -54,6 +55,11 @@ for ENGINE in dense packed; do
   }
   REF="$(digest_of "$WORK/ref-$ENGINE.out")"
   [ -n "$REF" ] || { echo "no digest in reference output ($ENGINE)" >&2; exit 1; }
+  if [ "$ENGINE" = auto ] && ! grep -qx 'engine: packed' "$WORK/ref-$ENGINE.out"; then
+    echo "auto did not run packed on the 1-safe toggle net:" >&2
+    cat "$WORK/ref-$ENGINE.out" >&2
+    exit 1
+  fi
 
   # 2. Crash mid-exploration: SIGKILL lands right after the second
   # checkpoint write, so the process dies with work in flight.

@@ -365,10 +365,9 @@ TEST_F(ChaosSoak, EveryFaultSiteFiresUnderTheSoakSpec) {
         async_ping(++id);
         ++submitted;
       } else if (site == "reach.packed.fallback") {
-        // This site only exists inside a *packed* exploration, so the net
-        // must stay structurally 1-safe — the generic branch below pads
-        // with round+1 tokens, which forces the dense engine from round 1
-        // on. A uniquely *named* single-token pad keeps the hash fresh per
+        // This site only exists inside a *packed* exploration, so M0 must
+        // stay 1-safe — the generic branch below pads with round+1 tokens,
+        // which forces the dense engine from round 1 on. A uniquely *named* single-token pad keeps the hash fresh per
         // round (no cache short-circuit) without breaking safety.
         PetriNet unique = toggle_net(4);
         unique.add_place("pad" + std::to_string(round), 1);

@@ -623,8 +623,7 @@ TEST(Progress, LimitErrorStillFlushesSpanAndFinalEvent) {
   options.max_states = 2;
   EXPECT_THROW((void)explore(two_independent_cycles(), options), LimitError);
   obs::Tracer::instance().remove_sink(sink);
-  // The reach.explore span completed during unwind... (engine auto-selection
-  // emits a petri.safety_check root span first, so search, don't index)
+  // The reach.explore span completed during unwind...
   ASSERT_FALSE(sink->roots.empty());
   EXPECT_TRUE(std::any_of(
       sink->roots.begin(), sink->roots.end(),

@@ -276,7 +276,7 @@ void expect_matches_oracle(const PetriNet& net, const std::string& what,
                                                                       7}) {
   std::vector<std::size_t> budgets(cuts);
   budgets.push_back(full_states);
-  for (ReachEngine engine : {ReachEngine::kDense, ReachEngine::kPacked}) {
+  for (ReachEngine engine : {ReachEngine::kDense, ReachEngine::kAuto}) {
     for (std::size_t budget : budgets) {
       ReachOptions options;
       options.engine = engine;
@@ -398,7 +398,7 @@ TEST(LivenessOracle, SingleStateSelfLoop) {
   PlaceId never = net.add_place("never", 0);
   net.add_transition({p}, "a", {p});
   TransitionId dead = net.add_transition({never}, "b", {});
-  for (ReachEngine engine : {ReachEngine::kDense, ReachEngine::kPacked}) {
+  for (ReachEngine engine : {ReachEngine::kDense, ReachEngine::kAuto}) {
     ReachOptions options;
     options.engine = engine;
     auto rg = explore(net, options);

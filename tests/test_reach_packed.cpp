@@ -1,8 +1,8 @@
-// The packed 1-safe marking engine: PackedNet mask construction, the
-// structural safety predicate that auto-selects it, and the hard contract
-// that packed exploration is bit-identical to dense exploration — same
-// states, same ids, same edge order — with a dynamic fallback to dense
-// whenever the 1-safe encoding turns out to be unsound for the net at hand.
+// The packed 1-safe marking engine: PackedNet mask construction, auto
+// selection (packed whenever M0 <= 1), and the hard contract that packed
+// exploration is bit-identical to dense exploration — same states, same
+// ids, same edge order — with a dynamic fallback to dense whenever the
+// 1-safe encoding turns out to be unsound for the net at hand.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,11 @@
 #include <vector>
 
 #include "algebra/parallel.h"
+#include "obs/metrics.h"
 #include "helpers.h"
 #include "models/figures.h"
 #include "petri/packed.h"
-#include "petri/structure.h"
+#include "reach/engine.h"
 #include "reach/properties.h"
 #include "reach/reachability.h"
 #include "sim/random_net.h"
@@ -43,6 +44,11 @@ PetriNet second_token_net() {
   PlaceId p1 = net.add_place("p1", 1);
   net.add_transition({p0}, "t", {p1});
   return net;
+}
+
+std::uint64_t fallbacks() {
+  return obs::Registry::instance().snapshot().counter(
+      "reach.packed.fallbacks");
 }
 
 ReachOptions with_engine(ReachEngine engine) {
@@ -143,60 +149,25 @@ TEST(PackedNet, EnabledTransitionsMatchesPetriNetAscending) {
 }
 
 // ---------------------------------------------------------------------------
-// is_structurally_safe: the auto-selection predicate
-
-TEST(StructuralSafety, SingleTokenStateMachineIsSafe) {
-  EXPECT_TRUE(is_structurally_safe(chain_net({"a", "b", "c"}, true)));
-}
-
-TEST(StructuralSafety, MultiTokenInitialPlaceIsNotProven) {
-  PetriNet net;
-  PlaceId p = net.add_place("p", 2);
-  PlaceId q = net.add_place("q", 0);
-  net.add_transition({p}, "a", {q});
-  EXPECT_FALSE(is_structurally_safe(net));
-}
-
-TEST(StructuralSafety, SemiflowCoverProvesParallelCycles) {
-  // Not a state machine as a whole (total tokens = n), but each cycle is a
-  // P-semiflow with constant 1.
-  EXPECT_TRUE(is_structurally_safe(independent_cycles(3)));
-}
-
-TEST(StructuralSafety, ProducerFreePlacesNeedNoSemiflow) {
-  PetriNet net;
-  PlaceId p0 = net.add_place("p0", 1);
-  PlaceId p1 = net.add_place("p1", 1);
-  net.add_transition({p0, p1}, "a", {});
-  EXPECT_TRUE(is_structurally_safe(net));
-}
-
-TEST(StructuralSafety, UnboundedGrowthIsNotProven) {
-  PetriNet net;
-  PlaceId p = net.add_place("p", 1);
-  PlaceId sink = net.add_place("sink", 0);
-  net.add_transition({p}, "a", {p, sink});  // pumps tokens into sink
-  EXPECT_FALSE(is_structurally_safe(net));
-}
-
-TEST(StructuralSafety, PaperFiguresAreSafe) {
-  EXPECT_TRUE(is_structurally_safe(models::fig1_left()));
-  EXPECT_TRUE(is_structurally_safe(models::fig1_right()));
-  EXPECT_TRUE(is_structurally_safe(models::fig3_marked_graph()));
-}
-
-// ---------------------------------------------------------------------------
 // Engine selection, fallback, and the bit-identity contract
 
 TEST(ReachPacked, EngineNamesRoundTrip) {
-  for (ReachEngine e :
-       {ReachEngine::kAuto, ReachEngine::kDense, ReachEngine::kPacked}) {
+  for (ReachEngine e : {ReachEngine::kAuto, ReachEngine::kDense}) {
     auto parsed = parse_reach_engine(to_string(e));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, e);
   }
+  // "packed" names what built a graph, never a request.
+  EXPECT_STREQ(to_string(ReachEngine::kPacked), "packed");
+  EXPECT_FALSE(parse_reach_engine("packed").has_value());
   EXPECT_FALSE(parse_reach_engine("sparse").has_value());
   EXPECT_FALSE(parse_reach_engine("").has_value());
+}
+
+TEST(ReachPacked, PackedRequestIsRejected) {
+  EXPECT_THROW((void)explore(independent_cycles(2),
+                             with_engine(ReachEngine::kPacked)),
+               Error);
 }
 
 TEST(ReachPacked, AutoSelectsPackedOnProvenSafeNet) {
@@ -207,33 +178,42 @@ TEST(ReachPacked, AutoSelectsPackedOnProvenSafeNet) {
 }
 
 TEST(ReachPacked, AutoStaysDenseWhenSafetyIsNotProven) {
-  PetriNet net;
-  PlaceId p = net.add_place("p", 2);
-  PlaceId q = net.add_place("q", 0);
-  net.add_transition({p}, "a", {q});
-  ASSERT_FALSE(is_structurally_safe(net));
-  auto rg = explore(net);
-  EXPECT_EQ(rg.engine(), ReachEngine::kDense);
-  EXPECT_EQ(rg.state_count(), 3u);
-}
-
-TEST(ReachPacked, ForcedPackedFallsBackOnSecondTokenFiring) {
-  PetriNet net = second_token_net();
-  auto dense = explore(net, with_engine(ReachEngine::kDense));
-  auto packed = explore(net, with_engine(ReachEngine::kPacked));
-  EXPECT_EQ(packed.engine(), ReachEngine::kDense);  // fell back
-  EXPECT_TRUE(graphs_identical(dense, packed));
-  // The result is a real dense graph: p1 holds two tokens somewhere.
-  EXPECT_FALSE(is_safe(packed));
-}
-
-TEST(ReachPacked, ForcedPackedFallsBackWhenInitialMarkingCannotPack) {
+  // M0 puts three tokens on p: no packed encoding, so auto goes straight
+  // to dense and never counts a fallback.
+  obs::ScopedEnable metrics;
+  const std::uint64_t before = fallbacks();
   PetriNet net;
   PlaceId p = net.add_place("p", 3);
   net.add_transition({p}, "a", {});
-  auto rg = explore(net, with_engine(ReachEngine::kPacked));
+  auto rg = explore(net);
   EXPECT_EQ(rg.engine(), ReachEngine::kDense);
   EXPECT_EQ(rg.state_count(), 4u);  // 3, 2, 1, 0 tokens
+  EXPECT_EQ(fallbacks(), before);
+}
+
+TEST(ReachPacked, ForcedPackedFallsBackWhenInitialMarkingCannotPack) {
+  // Forced onto an M0 with three tokens on p, the packed domain refuses at
+  // the initial row with the dispatcher's fallback signal; explore never
+  // hands it such a net and lands on the full dense graph.
+  PetriNet net;
+  PlaceId p = net.add_place("p", 3);
+  net.add_transition({p}, "a", {});
+  const reach_detail::PackedDomain dom(net);
+  std::vector<std::uint64_t> row;
+  EXPECT_THROW(dom.initial_row(row), reach_detail::PackedUnsafe);
+  auto rg = explore(net);
+  EXPECT_EQ(rg.engine(), ReachEngine::kDense);
+  EXPECT_EQ(rg.state_count(), 4u);  // 3, 2, 1, 0 tokens
+}
+
+TEST(ReachPacked, AutoFallsBackOnSecondTokenFiring) {
+  PetriNet net = second_token_net();
+  auto dense = explore(net, with_engine(ReachEngine::kDense));
+  auto chosen = explore(net);
+  EXPECT_EQ(chosen.engine(), ReachEngine::kDense);  // fell back
+  EXPECT_TRUE(graphs_identical(dense, chosen));
+  // The result is a real dense graph: p1 holds two tokens somewhere.
+  EXPECT_FALSE(is_safe(chosen));
 }
 
 TEST(ReachPacked, BitIdenticalOnPaperFigures) {
@@ -242,14 +222,16 @@ TEST(ReachPacked, BitIdenticalOnPaperFigures) {
                            models::fig3_net(), models::fig3_marked_graph()};
   for (const PetriNet& net : nets) {
     auto dense = explore(net, with_engine(ReachEngine::kDense));
-    auto packed = explore(net, with_engine(ReachEngine::kPacked));
-    auto chosen = explore(net);
-    EXPECT_TRUE(graphs_identical(dense, packed));
-    EXPECT_TRUE(graphs_identical(dense, chosen));
+    EXPECT_TRUE(graphs_identical(dense, explore(net)));
   }
 }
 
 TEST(ReachPacked, BitIdenticalOnRandomNets) {
+  // Auto against dense; every unsafe net whose M0 packs must show up as
+  // exactly one packed fallback, and no other net may fall back.
+  obs::ScopedEnable metrics;
+  std::uint64_t want_fallbacks = 0;
+  const std::uint64_t before = fallbacks();
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     RandomNetConfig config;
     config.places = 7;
@@ -265,11 +247,19 @@ TEST(ReachPacked, BitIdenticalOnRandomNets) {
     } catch (const LimitError&) {
       continue;  // unbounded / huge sample: every engine would overflow
     }
-    ReachOptions options = with_engine(ReachEngine::kPacked);
+    ReachOptions options;
     options.max_states = 20'000;
-    auto packed = explore(net, options);
-    EXPECT_TRUE(graphs_identical(dense, packed)) << "seed=" << seed;
+    auto chosen = explore(net, options);
+    EXPECT_TRUE(graphs_identical(dense, chosen)) << "seed=" << seed;
+    const bool m0_packs = net.initial_marking().is_safe();
+    EXPECT_EQ(chosen.engine(), m0_packs && is_safe(dense)
+                                   ? ReachEngine::kPacked
+                                   : ReachEngine::kDense)
+        << "seed=" << seed;
+    want_fallbacks += m0_packs && !is_safe(dense) ? 1 : 0;
   }
+  EXPECT_GT(want_fallbacks, 0u);  // the sample exercises the fallback
+  EXPECT_EQ(fallbacks() - before, want_fallbacks);
 }
 
 TEST(ReachPacked, BitIdenticalAcrossManyPlacesWordBoundary) {
@@ -279,7 +269,7 @@ TEST(ReachPacked, BitIdenticalAcrossManyPlacesWordBoundary) {
   dense_options.max_states = 500;
   dense_options.truncate_on_limit = true;
   auto dense = explore(net, dense_options);
-  ReachOptions packed_options = with_engine(ReachEngine::kPacked);
+  ReachOptions packed_options;
   packed_options.max_states = 500;
   packed_options.truncate_on_limit = true;
   auto packed = explore(net, packed_options);
@@ -291,7 +281,7 @@ TEST(ReachPacked, BitIdenticalAcrossManyPlacesWordBoundary) {
 
 TEST(ReachPacked, LimitErrorStillRaisedUnderPacked) {
   PetriNet net = independent_cycles(8);
-  ReachOptions options = with_engine(ReachEngine::kPacked);
+  ReachOptions options;
   options.max_states = 10;
   EXPECT_THROW((void)explore(net, options), LimitError);
 }
@@ -323,7 +313,7 @@ TEST(ReachPacked, PropertiesAgreeAcrossEngines) {
                            empty, one_state_marked};
   for (const PetriNet& net : nets) {
     auto dense = explore(net, with_engine(ReachEngine::kDense));
-    auto packed = explore(net, with_engine(ReachEngine::kPacked));
+    auto packed = explore(net);
     ASSERT_EQ(packed.engine(), ReachEngine::kPacked);
     EXPECT_EQ(is_safe(dense), is_safe(packed));
     EXPECT_EQ(deadlock_states(dense), deadlock_states(packed));
@@ -340,7 +330,6 @@ TEST(ReachPacked, FallbackFaultSiteForcesDenseRerun) {
   fault::clear();
   fault::configure("reach.packed.fallback=n1");
   PetriNet net = independent_cycles(4);
-  ASSERT_TRUE(is_structurally_safe(net));
   auto rg = explore(net);  // auto would pick packed; the fault evicts it
   EXPECT_EQ(rg.engine(), ReachEngine::kDense);
   EXPECT_TRUE(graphs_identical(explore(net, with_engine(ReachEngine::kDense)),

@@ -336,7 +336,73 @@ TEST(StoreCheckpoint, ResumeIsBitIdenticalDense) {
 }
 
 TEST(StoreCheckpoint, ResumeIsBitIdenticalPacked) {
-  check_resume_bit_identity(ReachEngine::kPacked, "resume_packed");
+  // Toggles are 1-safe, so auto runs (and checkpoints) packed.
+  check_resume_bit_identity(ReachEngine::kAuto, "resume_packed");
+}
+
+/// k-place ring with tokens on places 0 and k/2: M0 packs, but the tokens
+/// can meet, so auto explores packed for ~k^2/8 states, then reruns dense.
+PetriNet two_token_ring(std::size_t k) {
+  PetriNet net;
+  std::vector<PlaceId> ring;
+  for (std::size_t i = 0; i < k; ++i) {
+    ring.push_back(net.add_place("r" + std::to_string(i),
+                                 i == 0 || i == k / 2 ? 1 : 0));
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    net.add_transition({ring[i]}, "t" + std::to_string(i),
+                       {ring[(i + 1) % k]});
+  }
+  return net;
+}
+
+TEST(StoreCheckpoint, AutoResumeOfAnUnsafeNetLetsTheImagePickTheEngine) {
+  obs::ScopedEnable metrics;
+  const fs::path dir = scratch_dir("resume_unsafe");
+  const std::string path = (dir / "ck.bin").string();
+  const PetriNet net = two_token_ring(32);
+  const ReachabilityGraph plain = explore(net);
+  ASSERT_EQ(plain.engine(), ReachEngine::kDense);  // fell back
+  const std::uint64_t want = graph_digest(plain);
+  auto counter = [](const char* name) {
+    return obs::Registry::instance().snapshot().counter(name);
+  };
+  // Resumes from `path`: the reference digest, and these counter deltas.
+  auto expect_resume = [&](ReachEngine engine, std::uint64_t loaded,
+                           std::uint64_t rejected, std::uint64_t fallbacks) {
+    const std::uint64_t loaded0 = counter("store.resume.loaded");
+    const std::uint64_t rejected0 = counter("store.resume.rejected");
+    const std::uint64_t fallbacks0 = counter("reach.packed.fallbacks");
+    ReachOptions resume;
+    resume.engine = engine;
+    resume.resume_path = path;
+    EXPECT_EQ(graph_digest(explore(net, resume)), want);
+    EXPECT_EQ(counter("store.resume.loaded") - loaded0, loaded);
+    EXPECT_EQ(counter("store.resume.rejected") - rejected0, rejected);
+    EXPECT_EQ(counter("reach.packed.fallbacks") - fallbacks0, fallbacks);
+  };
+
+  // The dense rerun overwrites the packed attempt's snapshots, so a full
+  // run leaves what a kill during the dense rerun would. Auto resumes it
+  // dense, without a second packed attempt.
+  ReachOptions ckpt;
+  ckpt.checkpoint_path = path;
+  ckpt.checkpoint_every_states = 64;
+  EXPECT_EQ(graph_digest(explore(net, ckpt)), want);
+  ASSERT_FALSE(reach_detail::load_checkpoint(path).image.packed);
+  expect_resume(ReachEngine::kAuto, 1, 0, 0);
+
+  // Stopped inside the packed attempt (the tokens first meet after ~136
+  // states), a run leaves a packed snapshot. Auto resumes it, meets the
+  // second token and reruns dense cold; forced dense rejects it.
+  ckpt.checkpoint_every_states = 16;
+  ckpt.max_states = 100;
+  ckpt.truncate_on_limit = true;
+  ASSERT_EQ(explore(net, ckpt).engine(), ReachEngine::kPacked);
+  ASSERT_TRUE(reach_detail::load_checkpoint(path).image.packed);
+  expect_resume(ReachEngine::kAuto, 1, 0, 1);
+  expect_resume(ReachEngine::kDense, 0, 1, 0);
+  fs::remove_all(dir);
 }
 
 TEST(StoreCheckpoint, CorruptResumeFileIsQuarantinedAndRunStartsCold) {

@@ -588,28 +588,43 @@ TEST(Service, ReachEngineMemberSelectsEngineAndReportsIt) {
       json::parse(service.handle_line(reach_request_engine(1, net, "dense")));
   ASSERT_TRUE(dense.find("ok")->as_bool());
   EXPECT_EQ(dense.find("result")->get_string("engine"), "dense");
-  EXPECT_TRUE(dense.find("result")->find("structurally_safe")->as_bool());
+  EXPECT_EQ(dense.find("result")->find("structurally_safe"), nullptr);
 
-  const json::Value packed =
-      json::parse(service.handle_line(reach_request_engine(2, net, "packed")));
-  ASSERT_TRUE(packed.find("ok")->as_bool());
-  EXPECT_EQ(packed.find("result")->get_string("engine"), "packed");
-  EXPECT_EQ(packed.find("result")->get_number("states"),
-            dense.find("result")->get_number("states"));
-
-  // toggle nets are semiflow-covered, so the default (auto) goes packed.
-  const json::Value deflt =
-      json::parse(service.handle_line(reach_request(3, net)));
-  ASSERT_TRUE(deflt.find("ok")->as_bool());
-  EXPECT_EQ(deflt.find("result")->get_string("engine"), "packed");
+  // toggle nets start 1-safe and stay so: auto (explicit or by default)
+  // goes packed.
+  for (const std::string& line :
+       {reach_request_engine(2, net, "auto"), reach_request(3, net)}) {
+    const json::Value chosen = json::parse(service.handle_line(line));
+    ASSERT_TRUE(chosen.find("ok")->as_bool());
+    EXPECT_EQ(chosen.find("result")->get_string("engine"), "packed");
+    EXPECT_EQ(chosen.find("result")->get_number("states"),
+              dense.find("result")->get_number("states"));
+  }
 }
 
 TEST(Service, ReachUnknownEngineIsBadRequest) {
   svc::AnalysisService service;
-  const json::Value rsp = json::parse(
-      service.handle_line(reach_request_engine(7, toggle_net_text(2), "qbit")));
-  EXPECT_FALSE(rsp.find("ok")->as_bool());
-  EXPECT_EQ(rsp.find("error")->get_string("code"), "bad_request");
+  // "packed" names what built a graph; it is not a request value.
+  for (const char* engine : {"qbit", "packed"}) {
+    const json::Value rsp = json::parse(service.handle_line(
+        reach_request_engine(7, toggle_net_text(2), engine)));
+    EXPECT_FALSE(rsp.find("ok")->as_bool()) << engine;
+    EXPECT_EQ(rsp.find("error")->get_string("code"), "bad_request") << engine;
+  }
+}
+
+TEST(Service, CoverResponseHasNoStructuralSafetyVerdict) {
+  svc::AnalysisService service;
+  json::Writer w;
+  w.begin_object();
+  w.member("id", 1);
+  w.member("op", "cover");
+  w.member("net", toggle_net_text(2));
+  w.end_object();
+  const json::Value rsp = json::parse(service.handle_line(w.take()));
+  ASSERT_TRUE(rsp.find("ok")->as_bool());
+  EXPECT_TRUE(rsp.find("result")->find("bounded")->as_bool());
+  EXPECT_EQ(rsp.find("result")->find("structurally_safe"), nullptr);
 }
 
 TEST(Service, ReachEngineIsPartOfTheCacheKey) {
@@ -620,10 +635,10 @@ TEST(Service, ReachEngineIsPartOfTheCacheKey) {
                    .find("cached")->as_bool());
   // Same net, different engine: must not be served from the dense entry
   // (the response's "engine" member differs between the two).
-  const json::Value packed =
-      json::parse(service.handle_line(reach_request_engine(2, net, "packed")));
-  EXPECT_FALSE(packed.find("cached")->as_bool());
-  EXPECT_EQ(packed.find("result")->get_string("engine"), "packed");
+  const json::Value chosen =
+      json::parse(service.handle_line(reach_request_engine(2, net, "auto")));
+  EXPECT_FALSE(chosen.find("cached")->as_bool());
+  EXPECT_EQ(chosen.find("result")->get_string("engine"), "packed");
   EXPECT_EQ(service.cache().entries(), 2u);
 }
 

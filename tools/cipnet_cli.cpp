@@ -147,19 +147,18 @@ int cmd_reach(const std::vector<std::string>& args) {
   if (positional.size() == 2) {
     const auto engine = parse_reach_engine(positional[1]);
     if (!engine) {
-      std::fprintf(stderr, "unknown engine '%s' (auto|dense|packed)\n",
+      std::fprintf(stderr, "unknown engine '%s' (auto|dense)\n",
                    positional[1].c_str());
       return 1;
     }
     options.engine = *engine;
   }
   ReachabilityGraph rg = explore(net, options);
-  std::printf("engine: %s (structurally safe: %s)\n", to_string(rg.engine()),
-              is_structurally_safe(net) ? "yes" : "no");
+  std::printf("engine: %s\n", to_string(rg.engine()));
   std::printf("states: %zu, edges: %zu\n", rg.state_count(), rg.edge_count());
   // Content digest of the full graph (markings + edges): two runs built
   // the same graph iff these lines match — what resume_smoke.sh diffs
-  // across kill/resume runs, engines, and thread counts.
+  // across kill/resume runs and engines.
   std::printf("digest: %016llx\n",
               static_cast<unsigned long long>(graph_digest(rg)));
   std::printf("safe: %s, max tokens in a place: %u\n",
@@ -534,7 +533,7 @@ struct Command {
 
 constexpr Command kCommands[] = {
     {"info", "<file>", "net summary + structural analysis", cmd_info},
-    {"reach", "<file> [engine] [--checkpoint F] [--resume F]",
+    {"reach", "<file> [auto|dense] [--checkpoint F] [--resume F]",
      "state space, deadlocks, safety", cmd_reach},
     {"lang", "<file> [maxlen]", "bounded trace language", cmd_lang},
     {"dot", "<file>", "GraphViz export to stdout", cmd_dot},
